@@ -1,7 +1,9 @@
 //! Microbenchmark pinning the batched DQN hot-path throughput: `q_values`
 //! (one global-tier decision) and `train_batch` (one minibatch update) at
-//! the CI smoke sizes M ∈ {10, 14}, next to the retained unbatched
-//! reference implementations so the batching speedup stays measurable.
+//! the CI smoke sizes M ∈ {10, 14} and at M = 30 (the paper's Table I fleet
+//! size), next to the retained unbatched reference implementations so the
+//! batching speedup stays measurable. The GEMM kernel tier this CPU
+//! dispatches to is printed first.
 //!
 //! Runs through the criterion shim's wall-clock harness as a plain binary
 //! so CI can exercise the batched path on every PR:
@@ -81,8 +83,9 @@ fn main() {
         "qbench: batched vs unbatched-reference DQN hot path (minibatch = {minibatch}{})",
         if args.quick { ", quick" } else { "" }
     );
+    eprintln!("qbench: GEMM kernel tier = {}", hierdrl_neural::gemm_tier());
     let mut criterion = Criterion::default();
-    for m in [10usize, 14] {
+    for m in [10usize, 14, 30] {
         bench_m(&mut criterion, m, minibatch, args.quick);
     }
 }

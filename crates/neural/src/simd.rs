@@ -18,8 +18,75 @@
 //! suite, because the reference and hot paths share these kernels and so
 //! remain mutually bitwise identical.
 //!
-//! On non-x86_64 targets (or CPUs without AVX and FMA) everything falls
-//! back to scalar `mul_add` loops with the identical accumulation order.
+//! The GEMM kernels ([`gemm_row`], [`gemm_row4`], [`add_scaled`]) come in
+//! three tiers, chosen once per process by CPU detection ([`gemm_tier`]):
+//!
+//! - **AVX-512F**: 16-lane ZMM tiles, column tails by masked load/store,
+//!   the zero-coefficient skip as a lane mask (no data-dependent branch;
+//!   the comment opening the AVX-512 kernels says why the mask and the
+//!   scalar `a == 0.0` test skip exactly the same terms);
+//! - **AVX + FMA**: 8-lane YMM tiles with a fused 8/4/scalar tail;
+//! - **scalar**: `mul_add` loops, on non-x86_64 targets or CPUs without
+//!   AVX and FMA.
+//!
+//! All three run the same per-element chain, so which one a host picks
+//! never changes a result bit. The activation and Adam kernels have their
+//! own AVX2/AVX paths with scalar fallbacks.
+
+use std::sync::OnceLock;
+
+/// The GEMM kernel implementations, best first.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Tier {
+    Avx512,
+    AvxFma,
+    Scalar,
+}
+
+impl Tier {
+    const ALL: [Tier; 3] = [Tier::Avx512, Tier::AvxFma, Tier::Scalar];
+
+    fn name(self) -> &'static str {
+        match self {
+            Tier::Avx512 => "avx512f",
+            Tier::AvxFma => "avx+fma",
+            Tier::Scalar => "scalar",
+        }
+    }
+
+    /// Whether this CPU can run the tier's kernels.
+    fn supported(self) -> bool {
+        match self {
+            #[cfg(target_arch = "x86_64")]
+            Tier::Avx512 => std::is_x86_feature_detected!("avx512f"),
+            #[cfg(target_arch = "x86_64")]
+            Tier::AvxFma => {
+                std::is_x86_feature_detected!("avx") && std::is_x86_feature_detected!("fma")
+            }
+            Tier::Scalar => true,
+            #[cfg(not(target_arch = "x86_64"))]
+            _ => false,
+        }
+    }
+}
+
+/// The best tier this CPU supports, detected on first use.
+fn tier() -> Tier {
+    static TIER: OnceLock<Tier> = OnceLock::new();
+    *TIER.get_or_init(|| {
+        Tier::ALL
+            .into_iter()
+            .find(|t| t.supported())
+            .unwrap_or(Tier::Scalar)
+    })
+}
+
+/// Name of the GEMM kernel tier this process dispatches to: `"avx512f"`,
+/// `"avx+fma"` or `"scalar"`. Every tier gives bitwise-identical results;
+/// the name only says how fast they come.
+pub fn gemm_tier() -> &'static str {
+    tier().name()
+}
 
 /// `dst[j] += alpha * src[j]` — `Matrix::axpy` and friends.
 ///
@@ -29,15 +96,15 @@
 #[inline]
 pub(crate) fn add_scaled(dst: &mut [f32], src: &[f32], alpha: f32) {
     assert_eq!(dst.len(), src.len(), "add_scaled length mismatch");
-    #[cfg(target_arch = "x86_64")]
-    {
-        if avx_available() && fma_available() {
-            // SAFETY: AVX and FMA support was just verified at runtime.
-            unsafe { add_scaled_avx(dst, src, alpha) };
-            return;
-        }
+    match tier() {
+        // SAFETY: AVX-512F support was verified at runtime.
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx512 => unsafe { add_scaled_avx512(dst, src, alpha) },
+        // SAFETY: AVX and FMA support was verified at runtime.
+        #[cfg(target_arch = "x86_64")]
+        Tier::AvxFma => unsafe { add_scaled_avx(dst, src, alpha) },
+        _ => add_scaled_scalar(dst, src, alpha),
     }
-    add_scaled_scalar(dst, src, alpha);
 }
 
 #[inline]
@@ -52,10 +119,10 @@ fn add_scaled_scalar(dst: &mut [f32], src: &[f32], alpha: f32) {
 /// ascending order (zero coefficients skipped, as in the scalar kernels).
 ///
 /// `matmul` uses `a_stride == 1` (a row of the left operand); `matmul_tn`
-/// uses `a_stride == cols` (a column). The SIMD path tiles `j` and keeps
+/// uses `a_stride == cols` (a column). The SIMD tiers tile `j` and keep
 /// the accumulators in registers across the whole `k` loop, which is what
-/// makes it faster than per-`k` axpys — the store/reload of the output row
-/// disappears. Accumulation order per element is unchanged.
+/// makes them faster than per-`k` axpys — the store/reload of the output
+/// row disappears. Accumulation order per element is unchanged.
 ///
 /// # Panics
 ///
@@ -81,15 +148,15 @@ pub(crate) fn gemm_row(
         b.len() >= (k_count - 1) * ldb + o_row.len(),
         "b slice too short"
     );
-    #[cfg(target_arch = "x86_64")]
-    {
-        if avx_available() && fma_available() {
-            // SAFETY: AVX and FMA verified at runtime; bounds asserted above.
-            unsafe { gemm_row_avx(a, a_stride, k_count, b, ldb, o_row) };
-            return;
-        }
+    match tier() {
+        // SAFETY: AVX-512F verified at runtime; bounds asserted above.
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx512 => unsafe { gemm_row_avx512(a, a_stride, k_count, b, ldb, o_row) },
+        // SAFETY: AVX and FMA verified at runtime; bounds asserted above.
+        #[cfg(target_arch = "x86_64")]
+        Tier::AvxFma => unsafe { gemm_row_avx(a, a_stride, k_count, b, ldb, o_row) },
+        _ => gemm_row_scalar(a, a_stride, k_count, b, ldb, o_row),
     }
-    gemm_row_scalar(a, a_stride, k_count, b, ldb, o_row);
 }
 
 #[inline]
@@ -119,10 +186,11 @@ fn gemm_row_scalar(
 /// multiply-then-add sequence of [`gemm_row`], so results are bitwise
 /// identical to four separate calls; the blocking only interleaves
 /// *independent* accumulator chains. That interleaving is the point: a
-/// narrow output row (n < 32) gives [`gemm_row`] a single FP-add chain per
-/// tile, so the k loop runs at add *latency*, not throughput. Four rows
-/// share each `b` load and keep four chains in flight, which is worth
-/// ~2-3x at this codebase's layer widths (15/30-wide autoencoder rows).
+/// narrow output row (one or two vectors wide) gives [`gemm_row`] a single
+/// FP-add chain per vector, so the k loop runs at add *latency*, not
+/// throughput. Four rows share each `b` load and keep four times the
+/// chains in flight, which is worth ~2-3x at this codebase's layer widths
+/// (15/30-wide autoencoder rows).
 ///
 /// `matmul` passes four consecutive rows (`a_row_step = cols`,
 /// `a_k_stride = 1`); `matmul_tn` passes four consecutive columns
@@ -152,14 +220,27 @@ pub(crate) fn gemm_row4(
         "coefficient slice too short"
     );
     assert!(b.len() >= (k_count - 1) * ldb + n, "b slice too short");
-    #[cfg(target_arch = "x86_64")]
-    {
-        if avx_available() && fma_available() {
-            // SAFETY: AVX and FMA verified at runtime; bounds asserted above.
-            unsafe { gemm_row4_avx(a, a_row_step, a_k_stride, k_count, b, ldb, o) };
-            return;
-        }
+    match tier() {
+        // SAFETY: AVX-512F verified at runtime; bounds asserted above.
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx512 => unsafe { gemm_row4_avx512(a, a_row_step, a_k_stride, k_count, b, ldb, o) },
+        // SAFETY: AVX and FMA verified at runtime; bounds asserted above.
+        #[cfg(target_arch = "x86_64")]
+        Tier::AvxFma => unsafe { gemm_row4_avx(a, a_row_step, a_k_stride, k_count, b, ldb, o) },
+        _ => gemm_row4_scalar(a, a_row_step, a_k_stride, k_count, b, ldb, o),
     }
+}
+
+fn gemm_row4_scalar(
+    a: &[f32],
+    a_row_step: usize,
+    a_k_stride: usize,
+    k_count: usize,
+    b: &[f32],
+    ldb: usize,
+    o: &mut [f32],
+) {
+    let n = o.len() / 4;
     for (r, o_row) in o.chunks_exact_mut(n).enumerate() {
         gemm_row_scalar(&a[r * a_row_step..], a_k_stride, k_count, b, ldb, o_row);
     }
@@ -167,21 +248,12 @@ pub(crate) fn gemm_row4(
 
 #[cfg(target_arch = "x86_64")]
 fn avx_available() -> bool {
-    use std::sync::OnceLock;
     static AVX: OnceLock<bool> = OnceLock::new();
     *AVX.get_or_init(|| std::is_x86_feature_detected!("avx"))
 }
 
 #[cfg(target_arch = "x86_64")]
-fn fma_available() -> bool {
-    use std::sync::OnceLock;
-    static FMA: OnceLock<bool> = OnceLock::new();
-    *FMA.get_or_init(|| std::is_x86_feature_detected!("fma"))
-}
-
-#[cfg(target_arch = "x86_64")]
 fn avx2_available() -> bool {
-    use std::sync::OnceLock;
     static AVX2: OnceLock<bool> = OnceLock::new();
     *AVX2.get_or_init(|| std::is_x86_feature_detected!("avx2"))
 }
@@ -383,6 +455,9 @@ unsafe fn tanh_inplace_avx2(xs: &mut [f32]) {
     }
 }
 
+/// AVX + FMA [`gemm_row`]: 64-wide then 32-wide YMM j-tiles, then one
+/// fused k loop for the remaining 8-wide, 4-wide and scalar columns.
+///
 /// # Safety
 ///
 /// The caller must ensure the CPU supports AVX and FMA and that the
@@ -546,6 +621,9 @@ unsafe fn gemm_row_avx(
     }
 }
 
+/// AVX + FMA [`gemm_row4`]: 16-, 8- and 4-wide j-tiles of four rows each,
+/// then a scalar tail.
+///
 /// # Safety
 ///
 /// The caller must ensure the CPU supports AVX and FMA and that the
@@ -719,6 +797,222 @@ unsafe fn add_scaled_avx(dst: &mut [f32], src: &[f32], alpha: f32) {
         j += 8;
     }
     add_scaled_scalar(&mut dst[j..], &src[j..], alpha);
+}
+
+// The AVX-512 tier. Each lane is one output element with its own
+// ascending-`k` FMA chain, exactly as in the tiers above; two things
+// differ in form only.
+//
+// - The zero-coefficient skip is a lane mask, not a branch:
+//   `_mm512_mask3_fmadd_ps(a, b, acc, live)` keeps `acc` wherever `live`
+//   is clear, and `live = _mm512_cmp_ps_mask::<_CMP_NEQ_UQ>(a, 0)` is set
+//   exactly when the scalar `a == 0.0` test is false: `±0.0` compare equal
+//   (skipped), NaN compares unordered (not skipped, the NaN propagates).
+//   A skipped term therefore leaves the accumulator's bits untouched —
+//   including a `-0.0` seed and under an infinite `b` — as `continue` does.
+// - Column tails are masked loads and stores, so a tile of `C` 16-lane
+//   chunks covers any width in `16(C-1)+1 ..= 16C`; masked-off lanes are
+//   neither read nor written.
+
+/// Lane mask of a tile's chunk `c` of `C`: all 16 lanes, except that the
+/// last chunk takes `tail`.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn chunk_mask<const C: usize>(c: usize, tail: u16) -> u16 {
+    if c + 1 == C {
+        tail
+    } else {
+        u16::MAX
+    }
+}
+
+/// Mask of the low `rem % 16` lanes, or all lanes when `rem` is a
+/// multiple of 16.
+#[cfg(target_arch = "x86_64")]
+fn tail_mask(rem: usize) -> u16 {
+    match rem % 16 {
+        0 => u16::MAX,
+        r => (1u16 << r) - 1,
+    }
+}
+
+/// AVX-512 [`gemm_row`]: 128-wide tiles (eight ZMM accumulators), then one
+/// masked tile of one to eight chunks for the rest.
+///
+/// # Safety
+///
+/// The caller must ensure the CPU supports AVX-512F and that the slices
+/// cover the strides/widths (asserted by [`gemm_row`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn gemm_row_avx512(
+    a: &[f32],
+    a_stride: usize,
+    k_count: usize,
+    b: &[f32],
+    ldb: usize,
+    o_row: &mut [f32],
+) {
+    let n = o_row.len();
+    let (ap, bp, op) = (a.as_ptr(), b.as_ptr(), o_row.as_mut_ptr());
+    let g = Rows {
+        row_step: 0,
+        k_stride: a_stride,
+        k_count,
+        ldb,
+        ldo: n,
+    };
+    let mut j = 0;
+    while j + 128 <= n {
+        tile_avx512::<1, 8>(ap, g, bp.add(j), op.add(j), u16::MAX);
+        j += 128;
+    }
+    let (bp, op, tail) = (bp.add(j), op.add(j), tail_mask(n - j));
+    match (n - j).div_ceil(16) {
+        0 => {}
+        1 => tile_avx512::<1, 1>(ap, g, bp, op, tail),
+        2 => tile_avx512::<1, 2>(ap, g, bp, op, tail),
+        3 => tile_avx512::<1, 3>(ap, g, bp, op, tail),
+        4 => tile_avx512::<1, 4>(ap, g, bp, op, tail),
+        5 => tile_avx512::<1, 5>(ap, g, bp, op, tail),
+        6 => tile_avx512::<1, 6>(ap, g, bp, op, tail),
+        7 => tile_avx512::<1, 7>(ap, g, bp, op, tail),
+        _ => tile_avx512::<1, 8>(ap, g, bp, op, tail),
+    }
+}
+
+/// AVX-512 [`gemm_row4`]: 64-wide tiles of four rows (sixteen ZMM
+/// accumulators), then one masked tile of one to four chunks.
+///
+/// # Safety
+///
+/// The caller must ensure the CPU supports AVX-512F and that the slices
+/// cover the strides/widths (asserted by [`gemm_row4`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn gemm_row4_avx512(
+    a: &[f32],
+    a_row_step: usize,
+    a_k_stride: usize,
+    k_count: usize,
+    b: &[f32],
+    ldb: usize,
+    o: &mut [f32],
+) {
+    let n = o.len() / 4;
+    let (ap, bp, op) = (a.as_ptr(), b.as_ptr(), o.as_mut_ptr());
+    let g = Rows {
+        row_step: a_row_step,
+        k_stride: a_k_stride,
+        k_count,
+        ldb,
+        ldo: n,
+    };
+    let mut j = 0;
+    while j + 64 <= n {
+        tile_avx512::<4, 4>(ap, g, bp.add(j), op.add(j), u16::MAX);
+        j += 64;
+    }
+    let (bp, op, tail) = (bp.add(j), op.add(j), tail_mask(n - j));
+    match (n - j).div_ceil(16) {
+        0 => {}
+        1 => tile_avx512::<4, 1>(ap, g, bp, op, tail),
+        2 => tile_avx512::<4, 2>(ap, g, bp, op, tail),
+        3 => tile_avx512::<4, 3>(ap, g, bp, op, tail),
+        _ => tile_avx512::<4, 4>(ap, g, bp, op, tail),
+    }
+}
+
+/// Geometry of an AVX-512 GEMM tile: output row `r`, at `o + r·ldo`,
+/// accumulates `a[r·row_step + k·k_stride] · b[k·ldb + ..]` over
+/// `k < k_count`.
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy)]
+struct Rows {
+    row_step: usize,
+    k_stride: usize,
+    k_count: usize,
+    ldb: usize,
+    ldo: usize,
+}
+
+/// One tile of `R` output rows by `C` 16-lane chunks, the last chunk
+/// masked by `tail`. The `R × C` accumulators stay in registers across
+/// the whole k loop; each `b` chunk is loaded once per `k` and feeds `R`
+/// independent chains, each row under its own skip mask.
+///
+/// # Safety
+///
+/// AVX-512F; per `g`, `a` readable for `r < R`, `k < k_count`, and `b`
+/// and `o` readable (`o` writable) at the tile's unmasked lanes.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+unsafe fn tile_avx512<const R: usize, const C: usize>(
+    a: *const f32,
+    g: Rows,
+    b: *const f32,
+    o: *mut f32,
+    tail: u16,
+) {
+    use std::arch::x86_64::*;
+    let zero = _mm512_setzero_ps();
+    let mut acc = [[zero; C]; R];
+    for (r, row) in acc.iter_mut().enumerate() {
+        for (c, v) in row.iter_mut().enumerate() {
+            *v = _mm512_maskz_loadu_ps(chunk_mask::<C>(c, tail), o.add(r * g.ldo + 16 * c));
+        }
+    }
+    for k in 0..g.k_count {
+        let bk = b.add(k * g.ldb);
+        let mut bv = [zero; C];
+        for (c, v) in bv.iter_mut().enumerate() {
+            *v = _mm512_maskz_loadu_ps(chunk_mask::<C>(c, tail), bk.add(16 * c));
+        }
+        let ak = a.add(k * g.k_stride);
+        for (r, row) in acc.iter_mut().enumerate() {
+            let av = _mm512_set1_ps(*ak.add(r * g.row_step));
+            let live = _mm512_cmp_ps_mask::<_CMP_NEQ_UQ>(av, zero);
+            for (v, &bc) in row.iter_mut().zip(&bv) {
+                *v = _mm512_mask3_fmadd_ps(av, bc, *v, live);
+            }
+        }
+    }
+    for (r, row) in acc.iter().enumerate() {
+        for (c, v) in row.iter().enumerate() {
+            _mm512_mask_storeu_ps(o.add(r * g.ldo + 16 * c), chunk_mask::<C>(c, tail), *v);
+        }
+    }
+}
+
+/// AVX-512 [`add_scaled`]: 16 lanes per step, the tail masked.
+///
+/// # Safety
+///
+/// The caller must ensure the CPU supports AVX-512F and
+/// `dst.len() == src.len()`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn add_scaled_avx512(dst: &mut [f32], src: &[f32], alpha: f32) {
+    use std::arch::x86_64::*;
+    let n = dst.len();
+    let (sp, dp) = (src.as_ptr(), dst.as_mut_ptr());
+    let av = _mm512_set1_ps(alpha);
+    let mut j = 0;
+    while j < n {
+        let m = if j + 16 <= n {
+            u16::MAX
+        } else {
+            tail_mask(n - j)
+        };
+        let sum = _mm512_fmadd_ps(
+            av,
+            _mm512_maskz_loadu_ps(m, sp.add(j)),
+            _mm512_maskz_loadu_ps(m, dp.add(j)),
+        );
+        _mm512_mask_storeu_ps(dp.add(j), m, sum);
+        j += 16;
+    }
 }
 
 /// One fused Adam update over a parameter tensor:
@@ -932,6 +1226,217 @@ mod tests {
                             y.to_bits(),
                             "w={w} row_step={row_step} k_stride={k_stride} k={k_count} i={i}"
                         );
+                    }
+                }
+            }
+        }
+    }
+
+    /// The tiers this host can run; the others are reported as skipped.
+    fn host_tiers(test: &str) -> Vec<Tier> {
+        let (run, skip): (Vec<Tier>, Vec<Tier>) =
+            Tier::ALL.into_iter().partition(|t| t.supported());
+        for t in skip {
+            eprintln!(
+                "{test}: tier {} not supported on this host, skipped",
+                t.name()
+            );
+        }
+        run
+    }
+
+    // Direct per-tier calls, bypassing dispatch, so every tier the host
+    // supports is tested whichever one `tier()` would pick.
+
+    fn add_scaled_on(t: Tier, dst: &mut [f32], src: &[f32], alpha: f32) {
+        assert!(t.supported() && dst.len() == src.len());
+        match t {
+            // SAFETY: tier support and equal lengths asserted above.
+            #[cfg(target_arch = "x86_64")]
+            Tier::Avx512 => unsafe { add_scaled_avx512(dst, src, alpha) },
+            // SAFETY: tier support and equal lengths asserted above.
+            #[cfg(target_arch = "x86_64")]
+            Tier::AvxFma => unsafe { add_scaled_avx(dst, src, alpha) },
+            _ => add_scaled_scalar(dst, src, alpha),
+        }
+    }
+
+    fn gemm_row_on(t: Tier, a: &[f32], a_stride: usize, k: usize, b: &[f32], o: &mut [f32]) {
+        let ldb = o.len();
+        assert!(t.supported() && k > 0 && a.len() > (k - 1) * a_stride && b.len() >= k * ldb);
+        match t {
+            // SAFETY: tier support and slice bounds asserted above.
+            #[cfg(target_arch = "x86_64")]
+            Tier::Avx512 => unsafe { gemm_row_avx512(a, a_stride, k, b, ldb, o) },
+            // SAFETY: tier support and slice bounds asserted above.
+            #[cfg(target_arch = "x86_64")]
+            Tier::AvxFma => unsafe { gemm_row_avx(a, a_stride, k, b, ldb, o) },
+            _ => gemm_row_scalar(a, a_stride, k, b, ldb, o),
+        }
+    }
+
+    fn gemm_row4_on(t: Tier, a: &[f32], steps: (usize, usize), k: usize, b: &[f32], o: &mut [f32]) {
+        let (row_step, k_stride) = steps;
+        let ldb = o.len() / 4;
+        assert!(t.supported() && k > 0 && o.len().is_multiple_of(4));
+        assert!(a.len() > 3 * row_step + (k - 1) * k_stride && b.len() >= k * ldb);
+        match t {
+            // SAFETY: tier support and slice bounds asserted above.
+            #[cfg(target_arch = "x86_64")]
+            Tier::Avx512 => unsafe { gemm_row4_avx512(a, row_step, k_stride, k, b, ldb, o) },
+            // SAFETY: tier support and slice bounds asserted above.
+            #[cfg(target_arch = "x86_64")]
+            Tier::AvxFma => unsafe { gemm_row4_avx(a, row_step, k_stride, k, b, ldb, o) },
+            _ => gemm_row4_scalar(a, row_step, k_stride, k, b, ldb, o),
+        }
+    }
+
+    /// Every width up to 130 — each tail length of every tier, and the
+    /// model's 15/30/109/120/128-wide rows — plus two full AVX-512 tiles
+    /// and a tail.
+    fn tier_widths() -> impl Iterator<Item = usize> {
+        (1..=130).chain([257])
+    }
+
+    const TIER_K_COUNTS: [usize; 5] = [1, 2, 7, 35, 128];
+
+    /// Deterministic data in [-2, 2) from an index hash, with `+0.0` and
+    /// `-0.0` where `i % zeros` hits 0 and 1 (`zeros == 0`: none).
+    fn data(len: usize, salt: u32, zeros: usize) -> Vec<f32> {
+        (0..len)
+            .map(|i| match (zeros, i % zeros.max(1)) {
+                (z, 0) if z > 0 => 0.0,
+                (z, 1) if z > 0 => -0.0,
+                _ => {
+                    let h = (i as u32 ^ salt).wrapping_mul(0x9E37_79B9).rotate_left(13);
+                    (h >> 8) as f32 / (1u32 << 22) as f32 - 2.0
+                }
+            })
+            .collect()
+    }
+
+    fn assert_bits_eq(got: &[f32], want: &[f32], what: &str) {
+        for (i, (x, y)) in got.iter().zip(want).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "{what} i={i}: {x} vs {y}");
+        }
+    }
+
+    #[test]
+    fn add_scaled_tiers_match_scalar_bitwise() {
+        for t in host_tiers("add_scaled_tiers_match_scalar_bitwise") {
+            for n in tier_widths() {
+                let src = data(n, 1, 0);
+                for alpha in [-1.37, 0.0, -0.0] {
+                    let mut want = data(n, 2, 5);
+                    let mut got = want.clone();
+                    add_scaled_scalar(&mut want, &src, alpha);
+                    add_scaled_on(t, &mut got, &src, alpha);
+                    assert_bits_eq(&got, &want, &format!("{} n={n} alpha={alpha}", t.name()));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn gemm_row_tiers_match_scalar_bitwise() {
+        // Stride 1 is a row of the left operand (`matmul`); stride 3 a
+        // column (`matmul_tn`).
+        for t in host_tiers("gemm_row_tiers_match_scalar_bitwise") {
+            for w in tier_widths() {
+                for stride in [1usize, 3] {
+                    for k in TIER_K_COUNTS {
+                        let a = data((k - 1) * stride + 1, 3, 5);
+                        let b = data(k * w, 4, 0);
+                        let mut want = data(w, 5, 9);
+                        let mut got = want.clone();
+                        gemm_row_scalar(&a, stride, k, &b, w, &mut want);
+                        gemm_row_on(t, &a, stride, k, &b, &mut got);
+                        let what = format!("{} w={w} stride={stride} k={k}", t.name());
+                        assert_bits_eq(&got, &want, &what);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn gemm_row4_tiers_match_scalar_bitwise() {
+        // (row_step, k_stride): four rows of the left operand (`matmul`)
+        // or four of its columns (`matmul_tn`).
+        for t in host_tiers("gemm_row4_tiers_match_scalar_bitwise") {
+            for w in tier_widths() {
+                for steps in [(7usize, 1usize), (1, 4)] {
+                    for k in TIER_K_COUNTS {
+                        let a = data(3 * steps.0 + (k - 1) * steps.1 + 1, 6, 7);
+                        let b = data(k * w, 7, 0);
+                        let mut want = data(4 * w, 8, 9);
+                        let mut got = want.clone();
+                        for (r, o_row) in want.chunks_exact_mut(w).enumerate() {
+                            gemm_row_scalar(&a[r * steps.0..], steps.1, k, &b, w, o_row);
+                        }
+                        gemm_row4_on(t, &a, steps, k, &b, &mut got);
+                        let what = format!("{} w={w} steps={steps:?} k={k}", t.name());
+                        assert_bits_eq(&got, &want, &what);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn gemm_tiers_keep_the_skip_rule_on_special_values() {
+        // Every fourth k has a `+0.0` and every fourth a `-0.0` coefficient
+        // (in all four rows), and its `b` row holds `±inf`: a term that
+        // were not skipped would turn the output into NaN. The output seeds
+        // are `-0.0`, which any executed term with a `+0.0` product would
+        // flip to `+0.0`. With `nan`, row 2 (the row `gemm_row` runs)
+        // meets a NaN coefficient mid-way, which is not skipped and must
+        // propagate.
+        let test = "gemm_tiers_keep_the_skip_rule_on_special_values";
+        for t in host_tiers(test) {
+            for w in [1usize, 15, 16, 17, 30, 64, 109, 120, 128, 130] {
+                for k in TIER_K_COUNTS {
+                    for nan in [false, true] {
+                        let coeff = |kk: usize, r: usize| match kk % 4 {
+                            0 => 0.0,
+                            1 => -0.0,
+                            _ if nan && r == 2 && kk == k / 8 * 4 + 2 => f32::NAN,
+                            _ => (kk as f32 - 3.5) * 0.25 + r as f32,
+                        };
+                        let b: Vec<f32> = (0..k * w)
+                            .map(|i| match (i / w % 4, i % 2) {
+                                (0 | 1, 0) => f32::INFINITY,
+                                (0 | 1, _) => f32::NEG_INFINITY,
+                                _ => (i % 13) as f32 * 0.5 - 3.0,
+                            })
+                            .collect();
+                        let what = format!("{} w={w} k={k} nan={nan}", t.name());
+
+                        // gemm_row on row 2's coefficients, contiguous.
+                        let a: Vec<f32> = (0..k).map(|kk| coeff(kk, 2)).collect();
+                        let mut want = vec![-0.0f32; w];
+                        let mut got = want.clone();
+                        gemm_row_scalar(&a, 1, k, &b, w, &mut want);
+                        gemm_row_on(t, &a, 1, k, &b, &mut got);
+                        assert_bits_eq(&got, &want, &format!("gemm_row {what}"));
+
+                        // gemm_row4, rows laid out as `matmul` passes them.
+                        let a4: Vec<f32> = (0..4 * k).map(|i| coeff(i % k, i / k)).collect();
+                        let mut want = vec![-0.0f32; 4 * w];
+                        let mut got = want.clone();
+                        for (r, o_row) in want.chunks_exact_mut(w).enumerate() {
+                            gemm_row_scalar(&a4[r * k..], 1, k, &b, w, o_row);
+                        }
+                        gemm_row4_on(t, &a4, (k, 1), k, &b, &mut got);
+                        assert_bits_eq(&got, &want, &format!("gemm_row4 {what}"));
+                        if k < 4 {
+                            // Only skipped terms: the `-0.0` seeds survive.
+                            assert!(got.iter().all(|x| x.to_bits() == (-0.0f32).to_bits()));
+                        }
+                        if nan && k > 4 {
+                            assert!(got[2 * w..3 * w].iter().all(|x| x.is_nan()), "{what}");
+                            assert!(got[..w].iter().all(|x| !x.is_nan()), "{what}");
+                        }
                     }
                 }
             }
