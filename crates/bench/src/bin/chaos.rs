@@ -16,7 +16,6 @@
 
 use hierdrl_exp::cli::SweepArgs;
 use hierdrl_exp::presets::{self, Scale, FAULT_NAMES};
-use hierdrl_exp::report::BenchReport;
 
 fn main() {
     let args = SweepArgs::from_env();
@@ -74,19 +73,9 @@ fn main() {
             // existing `BENCH_suite.json`-shaped artifact in place — the
             // path CI uses to put fault cells in front of `perf_gate`
             // without disturbing the suite rows already there.
-            let text = std::fs::read_to_string(path)
-                .unwrap_or_else(|e| panic!("chaos: cannot read merge target {path}: {e}"));
-            let mut merged: BenchReport = serde_json::from_str(&text)
-                .unwrap_or_else(|e| panic!("chaos: cannot parse merge target {path}: {e}"));
-            for cell in bench.cells {
-                match merged.cells.iter_mut().find(|c| c.id == cell.id) {
-                    Some(existing) => *existing = cell,
-                    None => merged.cells.push(cell),
-                }
-            }
-            merged.cells_total = merged.cells.len();
-            merged.expectations.extend(bench.expectations);
-            std::fs::write(path, merged.to_json_pretty() + "\n").expect("write merged artifact");
+            bench
+                .merge_into_file(path)
+                .unwrap_or_else(|e| panic!("chaos: {e}"));
             eprintln!("merged chaos cells + expectations into {path}");
         }
         None => {

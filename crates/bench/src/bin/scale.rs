@@ -15,7 +15,6 @@
 //! ```
 
 use hierdrl_exp::cli::SweepArgs;
-use hierdrl_exp::report::BenchReport;
 use hierdrl_exp::scale::{self, ScaleSpec};
 
 fn main() {
@@ -61,12 +60,9 @@ fn main() {
 
     match args.merge.as_deref() {
         Some(path) => {
-            let text = std::fs::read_to_string(path)
-                .unwrap_or_else(|e| panic!("scale: cannot read merge target {path}: {e}"));
-            let mut report: BenchReport = serde_json::from_str(&text)
-                .unwrap_or_else(|e| panic!("scale: cannot parse merge target {path}: {e}"));
-            scale::merge_into_report(&mut report, &runs);
-            std::fs::write(path, report.to_json_pretty() + "\n").expect("write merged artifact");
+            scale::scale_bench_report(&runs)
+                .merge_into_file(path)
+                .unwrap_or_else(|e| panic!("scale: {e}"));
             eprintln!("merged {} scale cell(s) into {path}", runs.len());
         }
         None => {

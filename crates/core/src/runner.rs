@@ -7,7 +7,7 @@ use crate::hierarchical::PolicyPair;
 use hierdrl_sim::cluster::{Allocator, ArrivalSource, Cluster, PowerManager, RunLimit};
 use hierdrl_sim::config::ClusterConfig;
 use hierdrl_sim::events::FleetOp;
-use hierdrl_sim::metrics::{LatencyStats, RunOutcome, SamplePoint};
+use hierdrl_sim::metrics::{ClusterTotals, LatencyStats, RunOutcome, SamplePoint};
 use hierdrl_sim::policies::SleepImmediatelyPower;
 use hierdrl_sim::time::SimTime;
 use hierdrl_trace::trace::Trace;
@@ -345,7 +345,7 @@ impl<'a> SegmentedExperiment<'a> {
 /// Panics if `segments` is empty.
 pub fn concat_segments(name: &str, segments: &[&ExperimentResult]) -> ExperimentResult {
     assert!(!segments.is_empty(), "concat needs >= 1 segment");
-    let mut totals = hierdrl_sim::metrics::ClusterTotals::default();
+    let mut totals = ClusterTotals::default();
     let mut samples: Vec<SamplePoint> = Vec::new();
     let mut fleet = FleetStats::default();
     let mut end_s = 0.0;
@@ -367,31 +367,62 @@ pub fn concat_segments(name: &str, segments: &[&ExperimentResult]) -> Experiment
             });
         }
         totals.time_s += t.time_s;
-        totals.energy_joules += t.energy_joules;
-        totals.vm_time_integral += t.vm_time_integral;
-        totals.queue_time_integral += t.queue_time_integral;
-        totals.overload_integral += t.overload_integral;
         totals.power_watts = t.power_watts; // instantaneous: last segment's
-        totals.jobs_arrived += t.jobs_arrived;
-        totals.jobs_completed += t.jobs_completed;
-        totals.total_latency_s += t.total_latency_s;
-        totals.jobs_requeued += t.jobs_requeued;
+        add_totals(&mut totals, t);
         end_s += seg.outcome.end_time.as_secs();
-
-        let w = t.time_s / total_span;
-        fleet.busy_fraction += w * seg.fleet.busy_fraction;
-        fleet.idle_fraction += w * seg.fleet.idle_fraction;
-        fleet.sleep_fraction += w * seg.fleet.sleep_fraction;
-        fleet.transition_fraction += w * seg.fleet.transition_fraction;
-        fleet.total_wake_transitions += seg.fleet.total_wake_transitions;
+        add_fleet(&mut fleet, t.time_s / total_span, &seg.fleet);
     }
 
-    let with_latency: Vec<(u64, LatencyStats)> = segments
-        .iter()
-        .filter_map(|s| s.latency.map(|l| (s.outcome.totals.jobs_completed, l)))
+    ExperimentResult {
+        name: name.to_string(),
+        outcome: RunOutcome {
+            totals,
+            end_time: SimTime::from_secs(end_s),
+            samples,
+        },
+        latency: merge_latency(segments.iter().copied()),
+        fleet,
+    }
+}
+
+/// Folds the additive accumulators of `t` into `totals`. The span and the
+/// instantaneous power are left to the caller: segments run back to back
+/// (spans sum) while shards share one clock (the span is the longest).
+fn add_totals(totals: &mut ClusterTotals, t: &ClusterTotals) {
+    totals.energy_joules += t.energy_joules;
+    totals.vm_time_integral += t.vm_time_integral;
+    totals.queue_time_integral += t.queue_time_integral;
+    totals.overload_integral += t.overload_integral;
+    totals.jobs_arrived += t.jobs_arrived;
+    totals.jobs_completed += t.jobs_completed;
+    totals.total_latency_s += t.total_latency_s;
+    totals.jobs_requeued += t.jobs_requeued;
+}
+
+/// Adds one part's fleet fractions into `fleet` at weight `w` (the part's
+/// share of the merged span or of the merged servers); wake transitions
+/// are counts and sum unweighted.
+fn add_fleet(fleet: &mut FleetStats, w: f64, f: &FleetStats) {
+    fleet.busy_fraction += w * f.busy_fraction;
+    fleet.idle_fraction += w * f.idle_fraction;
+    fleet.sleep_fraction += w * f.sleep_fraction;
+    fleet.transition_fraction += w * f.transition_fraction;
+    fleet.total_wake_transitions += f.total_wake_transitions;
+}
+
+/// Merges per-part latency summaries, weighting each part's mean and
+/// percentiles by its completed jobs. Percentiles of a mixture cannot be
+/// recovered from per-part summaries, so the merged ones are an
+/// approximation; `None` when no part carries a summary.
+fn merge_latency<'a>(
+    parts: impl IntoIterator<Item = &'a ExperimentResult>,
+) -> Option<LatencyStats> {
+    let with_latency: Vec<(u64, LatencyStats)> = parts
+        .into_iter()
+        .filter_map(|r| r.latency.map(|l| (r.outcome.totals.jobs_completed, l)))
         .collect();
     let jobs_with_latency: u64 = with_latency.iter().map(|(n, _)| n).sum();
-    let latency = (jobs_with_latency > 0).then(|| {
+    (jobs_with_latency > 0).then(|| {
         let mut merged = LatencyStats {
             count: 0,
             mean: 0.0,
@@ -410,18 +441,7 @@ pub fn concat_segments(name: &str, segments: &[&ExperimentResult]) -> Experiment
             merged.max = merged.max.max(l.max);
         }
         merged
-    });
-
-    ExperimentResult {
-        name: name.to_string(),
-        outcome: RunOutcome {
-            totals,
-            end_time: SimTime::from_secs(end_s),
-            samples,
-        },
-        latency,
-        fleet,
-    }
+    })
 }
 
 /// Runs pre-built policy objects on a trace. Useful when the caller owns a
@@ -530,20 +550,13 @@ pub struct ShardResult {
 /// Panics if `shards` is empty — an empty topology is always a caller bug.
 pub fn aggregate_shards(name: &str, shards: &[ShardResult]) -> ExperimentResult {
     assert!(!shards.is_empty(), "aggregate needs >= 1 shard");
-    let mut totals = hierdrl_sim::metrics::ClusterTotals::default();
+    let mut totals = ClusterTotals::default();
     let mut end_time = SimTime::ZERO;
     for shard in shards {
         let t = &shard.result.outcome.totals;
         totals.time_s = totals.time_s.max(t.time_s);
-        totals.energy_joules += t.energy_joules;
-        totals.vm_time_integral += t.vm_time_integral;
-        totals.queue_time_integral += t.queue_time_integral;
-        totals.overload_integral += t.overload_integral;
         totals.power_watts += t.power_watts;
-        totals.jobs_arrived += t.jobs_arrived;
-        totals.jobs_completed += t.jobs_completed;
-        totals.total_latency_s += t.total_latency_s;
-        totals.jobs_requeued += t.jobs_requeued;
+        add_totals(&mut totals, t);
         if shard.result.outcome.end_time > end_time {
             end_time = shard.result.outcome.end_time;
         }
@@ -588,43 +601,8 @@ pub fn aggregate_shards(name: &str, shards: &[ShardResult]) -> ExperimentResult 
     let mut fleet = FleetStats::default();
     for shard in shards {
         let w = shard.servers as f64 / total_servers.max(1) as f64;
-        let f = &shard.result.fleet;
-        fleet.busy_fraction += w * f.busy_fraction;
-        fleet.idle_fraction += w * f.idle_fraction;
-        fleet.sleep_fraction += w * f.sleep_fraction;
-        fleet.transition_fraction += w * f.transition_fraction;
-        fleet.total_wake_transitions += f.total_wake_transitions;
+        add_fleet(&mut fleet, w, &shard.result.fleet);
     }
-
-    let with_latency: Vec<(u64, LatencyStats)> = shards
-        .iter()
-        .filter_map(|s| {
-            s.result
-                .latency
-                .map(|l| (s.result.outcome.totals.jobs_completed, l))
-        })
-        .collect();
-    let jobs_with_latency: u64 = with_latency.iter().map(|(n, _)| n).sum();
-    let latency = (jobs_with_latency > 0).then(|| {
-        let mut merged = LatencyStats {
-            count: 0,
-            mean: 0.0,
-            p50: 0.0,
-            p95: 0.0,
-            p99: 0.0,
-            max: 0.0,
-        };
-        for (jobs, l) in &with_latency {
-            let w = *jobs as f64 / jobs_with_latency as f64;
-            merged.count += l.count;
-            merged.mean += w * l.mean;
-            merged.p50 += w * l.p50;
-            merged.p95 += w * l.p95;
-            merged.p99 += w * l.p99;
-            merged.max = merged.max.max(l.max);
-        }
-        merged
-    });
 
     ExperimentResult {
         name: name.to_string(),
@@ -633,7 +611,7 @@ pub fn aggregate_shards(name: &str, shards: &[ShardResult]) -> ExperimentResult 
             end_time,
             samples,
         },
-        latency,
+        latency: merge_latency(shards.iter().map(|s| &s.result)),
         fleet,
     }
 }
@@ -845,16 +823,20 @@ mod tests {
 
     #[test]
     fn aggregating_one_shard_reproduces_it() {
+        // A small sampling interval so the merged curve is non-trivial.
+        let mut config = ClusterConfig::paper(4);
+        config.sample_every = 40;
         let trace = small_trace(5, 150);
         let result = run_experiment(
             &PolicyPair::round_robin_baseline(),
-            &ClusterConfig::paper(4),
+            &config,
             &trace,
             RunLimit::unbounded(),
         )
         .unwrap();
+        assert!(!result.outcome.samples.is_empty() && result.latency.is_some());
         let agg = aggregate_shards(
-            "fleet",
+            &result.name,
             &[ShardResult {
                 cluster: 0,
                 servers: 4,
@@ -862,14 +844,11 @@ mod tests {
                 result: result.clone(),
             }],
         );
-        assert_eq!(agg.name, "fleet");
-        assert_eq!(agg.outcome.totals, result.outcome.totals);
-        assert_eq!(agg.outcome.end_time, result.outcome.end_time);
-        assert_eq!(agg.outcome.samples, result.outcome.samples);
-        assert_eq!(agg.fleet, result.fleet);
-        let (a, b) = (agg.latency.unwrap(), result.latency.unwrap());
-        assert_eq!(a.count, b.count);
-        assert!((a.mean - b.mean).abs() < 1e-9);
+        // A one-unit fleet is the unit itself, byte for byte.
+        assert_eq!(
+            serde_json::to_string(&agg).unwrap(),
+            serde_json::to_string(&result).unwrap()
+        );
     }
 
     #[test]
@@ -989,10 +968,12 @@ mod tests {
         let sum = f.busy_fraction + f.idle_fraction + f.sleep_fraction + f.transition_fraction;
         assert!((sum - 1.0).abs() < 1e-6);
 
-        // Concatenating one segment reproduces it.
-        let one = concat_segments("one", &refs[..1]);
-        assert_eq!(one.outcome.totals, results[0].outcome.totals);
-        assert_eq!(one.outcome.samples, results[0].outcome.samples);
+        // Concatenating one segment reproduces it, byte for byte.
+        let one = concat_segments(&results[0].name, &refs[..1]);
+        assert_eq!(
+            serde_json::to_string(&one).unwrap(),
+            serde_json::to_string(&results[0]).unwrap()
+        );
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //! - [`scenario::Topology`] names a cluster configuration — a single
 //!   cluster, or several independent clusters sharing one arrival stream
 //!   behind a deterministic front-end router
-//!   ([`hierdrl_sim::router::Router`]), in which case the runner simulates
-//!   each cluster on its own worker thread and merges in shard order;
+//!   ([`hierdrl_sim::router::Router`]); the runner executes every cell as
+//!   one unit per cluster, each on its own worker thread, and merges in
+//!   unit order;
 //! - [`scenario::WorkloadSpec`] is a workload recipe resolved against a
 //!   topology, so per-server load stays comparable across cluster sizes;
 //! - [`scenario::PolicySpec`] names the control planes (static baselines or

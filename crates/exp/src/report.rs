@@ -342,6 +342,37 @@ impl BenchReport {
     pub fn to_json_pretty(&self) -> String {
         serde_json::to_string_pretty(self).expect("bench report serializes")
     }
+
+    /// Folds another run's rows into this artifact: cells with a matching
+    /// id are replaced in place, new cells append in order, and the other
+    /// run's expectation verdicts append. The suite-level wall-clock
+    /// aggregates keep describing this report's own run, which ran in a
+    /// different process than the merged rows.
+    pub fn merge(&mut self, other: BenchReport) {
+        for cell in other.cells {
+            match self.cells.iter_mut().find(|c| c.id == cell.id) {
+                Some(existing) => *existing = cell,
+                None => self.cells.push(cell),
+            }
+        }
+        self.cells_total = self.cells.len();
+        self.expectations.extend(other.expectations);
+    }
+
+    /// [`BenchReport::merge`]s `self` into the artifact at `path`, in place.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the file cannot be read, parsed, or written.
+    pub fn merge_into_file(self, path: &str) -> Result<(), String> {
+        let text = std::fs::read_to_string(path)
+            .map_err(|e| format!("cannot read merge target {path}: {e}"))?;
+        let mut merged: BenchReport = serde_json::from_str(&text)
+            .map_err(|e| format!("cannot parse merge target {path}: {e}"))?;
+        merged.merge(self);
+        std::fs::write(path, merged.to_json_pretty() + "\n")
+            .map_err(|e| format!("cannot write merge target {path}: {e}"))
+    }
 }
 
 /// The process's peak resident-set size in bytes, read from the `VmHWM`
@@ -381,6 +412,67 @@ mod tests {
             assert!(bytes > 100 * 1024, "implausibly small peak RSS {bytes}");
             assert!(bytes < 1 << 40, "implausibly large peak RSS {bytes}");
         }
+    }
+
+    fn cell(id: &str, jobs: u64) -> BenchCell {
+        BenchCell {
+            id: id.to_string(),
+            jobs,
+            capacity_skew: 1.0,
+            fleet_size: None,
+            wall_s: 1.0,
+            jobs_per_s: jobs as f64,
+            segments: None,
+            clusters: None,
+            peak_rss_bytes: None,
+            trace: None,
+        }
+    }
+
+    fn bench(cells: Vec<BenchCell>, expectations: Vec<ExpectationRow>) -> BenchReport {
+        BenchReport {
+            suite: "merge".to_string(),
+            threads: 1,
+            cells_total: cells.len(),
+            total_wall_s: 1.0,
+            cell_wall_s_sum: 1.0,
+            jobs_total: 0,
+            jobs_per_s: 0.0,
+            traces_materialized: 0,
+            trace_cache_hits: 0,
+            peak_rss_bytes: None,
+            expectations,
+            cells,
+        }
+    }
+
+    #[test]
+    fn merge_replaces_matching_rows_and_appends_new_ones() {
+        let verdict = ExpectationRow {
+            name: "conservation".to_string(),
+            passed: true,
+            detail: "ok".to_string(),
+        };
+        let mut report = bench(vec![cell("a", 1), cell("b", 2)], Vec::new());
+        report.merge(bench(
+            vec![cell("b", 20), cell("c", 3)],
+            vec![verdict.clone()],
+        ));
+        assert_eq!(report.cells_total, 3);
+        let rows: Vec<(&str, u64)> = report
+            .cells
+            .iter()
+            .map(|c| (c.id.as_str(), c.jobs))
+            .collect();
+        assert_eq!(rows, vec![("a", 1), ("b", 20), ("c", 3)]);
+        assert_eq!(report.expectations, vec![verdict]);
+        // The report's own run-level aggregates are untouched.
+        assert_eq!(report.suite, "merge");
+        assert_eq!(report.total_wall_s, 1.0);
+        // Re-merging is idempotent on the cells.
+        report.merge(bench(vec![cell("b", 20), cell("c", 3)], Vec::new()));
+        assert_eq!(report.cells.len(), 3);
+        assert_eq!(report.cells_total, 3);
     }
 
     #[test]

@@ -9,24 +9,38 @@
 //! once) — and cached values are themselves deterministic functions of
 //! their keys, so caching never changes results, only wall-clock.
 //!
-//! # Multi-cluster cells
+//! # Execution units
 //!
-//! A [`Topology::MultiCluster`](crate::scenario::Topology) cell adds a
-//! second level of parallelism *inside* the cell: the evaluation stream is
-//! split by the deterministic front-end [`Router`], each cluster (shard)
-//! simulates on its own worker thread with learner seeds derived from the
-//! cell seed via per-shard SplitMix64 sub-seeds, and shard results merge
-//! in shard order — so the sharded run is byte-identical to the same cell
-//! executed serially. One semantic difference from single-cluster cells:
-//! `max_jobs` truncates the *arrival stream* before routing (independent
-//! shards cannot coordinate a global completion count deterministically),
-//! whereas a single cluster stops after `max_jobs` completions.
+//! A cell runs as one *execution unit* per member cluster of its
+//! [`Topology`](crate::scenario::Topology): a single-cluster cell is a
+//! one-unit fleet, a multi-cluster cell has one unit (shard) per cluster.
+//! Every cell takes the same path:
+//!
+//! 1. resolve the evaluation stream (and inject arrival spikes);
+//! 2. lower the elastic axis per unit, feed-forward from the stream;
+//! 3. split the stream across units with the deterministic front-end
+//!    [`Router`] (a lone unit takes the whole stream);
+//! 4. run every unit on its own worker thread, with learner seeds derived
+//!    from the unit's root seed ([`Scenario::learner_seeds`]);
+//! 5. merge: units share a clock within a segment
+//!    ([`aggregate_shards`]), segments run back to back
+//!    ([`concat_segments`]).
+//!
+//! Units merge in unit order, so a sharded run is byte-identical to the
+//! same cell executed serially, and aggregating a single unit reproduces
+//! it exactly. One semantic difference remains between the topologies:
+//! `max_jobs` truncates a multi-cluster cell's *arrival stream* before
+//! routing (independent shards cannot coordinate a global completion
+//! count deterministically), whereas a single cluster stops after
+//! `max_jobs` completions.
 
 use crate::report::{
     BenchCell, BenchReport, BenchSegment, BenchShard, CellMetrics, CellReport, CellTiming,
     ExpectationRow, FleetSize, SegmentReport, ShardReport, SuiteReport, TraceProvenance,
 };
-use crate::scenario::{mix_seed, ElasticSchedule, ElasticSpec, PolicySpec, Pretrain, Scenario};
+use crate::scenario::{
+    mix_seed, ElasticSchedule, ElasticSpec, LearnerSeeds, PolicySpec, Pretrain, Scenario,
+};
 use crate::suite::{Expectation, Suite};
 use hierdrl_core::allocator::{DrlAllocator, DrlAllocatorConfig, DrlSnapshot, DrlStats};
 use hierdrl_core::dpm::{DpmSnapshot, RlPowerConfig, RlPowerManager};
@@ -37,8 +51,9 @@ use hierdrl_core::runner::{
 use hierdrl_sim::cluster::{Allocator, PowerManager};
 use hierdrl_sim::config::ClusterConfig;
 use hierdrl_sim::events::FleetOp;
+use hierdrl_sim::job::Job;
 use hierdrl_sim::policies::{FixedTimeoutPower, SleepImmediatelyPower};
-use hierdrl_sim::router::Router;
+use hierdrl_sim::router::{Router, RouterPolicy};
 use hierdrl_trace::google::ParseStats;
 use hierdrl_trace::materialize::{TraceCache, TraceSpec};
 use hierdrl_trace::source::{with_synthetic_demands, TraceSource};
@@ -146,7 +161,8 @@ pub struct SegmentRun {
     pub wall_s: f64,
 }
 
-/// The outcome of one shard (cluster) of a multi-cluster cell.
+/// The outcome of one execution unit: one shard (cluster) of a
+/// multi-cluster cell.
 #[derive(Debug, Clone)]
 pub struct ShardRun {
     /// The shard's routed jobs and simulation result (the concatenation
@@ -154,8 +170,8 @@ pub struct ShardRun {
     pub shard: ShardResult,
     /// The shard's global-tier statistics, for learned policies.
     pub drl_stats: Option<DrlStats>,
-    /// The shard's per-segment outcomes in drift order (empty for
-    /// non-drift cells).
+    /// The shard's per-segment outcomes in segment order (one, the whole
+    /// run, for non-drift cells).
     pub segments: Vec<SegmentRun>,
     /// Shard wall-clock, seconds.
     pub wall_s: f64,
@@ -745,54 +761,6 @@ fn check_autoscale_economics(
     )
 }
 
-/// The fully-derived learner inputs of one execution unit — a whole
-/// single-cluster cell, or one shard of a multi-cluster cell. Both levels
-/// run through the same policy executor; only the seed derivation differs.
-struct LearnerSeeds {
-    policy_seed: u64,
-    /// Seed of the unit's fault schedule (cell- or shard-derived, so
-    /// sharded chaos cells stay byte-identical to serial execution).
-    fault_seed: u64,
-    /// The unit's share of the evaluation stream (sizes pre-training).
-    eval_jobs: u64,
-    drl: Option<DrlAllocatorConfig>,
-    dpm: Option<RlPowerConfig>,
-    /// The local-tier config included in the pre-train cache key (`None`
-    /// keeps Fig.-10-style cells sharing one pre-trained global tier).
-    co_dpm: Option<RlPowerConfig>,
-}
-
-impl LearnerSeeds {
-    /// Cell-level derivation (single-cluster path).
-    fn for_cell(scenario: &Scenario) -> Self {
-        Self {
-            policy_seed: scenario.policy_seed(),
-            fault_seed: scenario.fault_seed(),
-            eval_jobs: scenario.workload.jobs_for(scenario.topology.servers()),
-            drl: scenario.drl_config(),
-            dpm: scenario.dpm_config(),
-            co_dpm: scenario.co_pretrain_dpm_config(),
-        }
-    }
-
-    /// Shard-level derivation (multi-cluster path): everything re-derives
-    /// from the shard's SplitMix64 sub-seed, and the pre-training budget
-    /// prorates to the shard's share of the fleet.
-    fn for_shard(scenario: &Scenario, shard: usize) -> Self {
-        let shard_m = scenario.topology.clusters()[shard].num_servers;
-        Self {
-            policy_seed: scenario.shard_policy_seed(shard),
-            fault_seed: scenario.shard_fault_seed(shard),
-            eval_jobs: scenario
-                .workload
-                .shard_jobs_for(shard_m, scenario.topology.servers()),
-            drl: scenario.shard_drl_config(shard),
-            dpm: scenario.shard_dpm_config(shard),
-            co_dpm: scenario.shard_co_pretrain_dpm_config(shard),
-        }
-    }
-}
-
 /// Memoized pre-training of one (cluster, segments, learner configs)
 /// problem. Identical inputs must produce identical learners, so the JSON
 /// of all inputs is a sound cache key.
@@ -892,18 +860,19 @@ impl BuiltPower {
 }
 
 /// Builds one execution unit's control planes, pre-training learned tiers
-/// first (memoized). Shared by the single-cluster path and every shard of
-/// a multi-cluster cell.
+/// first (memoized) against the unit's share of the evaluation stream,
+/// `eval_jobs`.
 fn build_policy(
     scenario: &Scenario,
     ctx: &RunContext,
     cluster: &ClusterConfig,
     seeds: &LearnerSeeds,
+    eval_jobs: u64,
 ) -> Result<(BuiltAllocator, BuiltPower), String> {
     let segments = |budget: &Pretrain| {
         budget.segment_specs(
             cluster.num_servers,
-            seeds.eval_jobs,
+            eval_jobs,
             &scenario.workload,
             seeds.policy_seed,
         )
@@ -962,21 +931,27 @@ fn build_policy(
     }
 }
 
-/// Runs one execution unit's policy pair over its evaluation segments (one
-/// segment for non-drift cells), carrying the learners across segment
-/// boundaries with online training continuing — or frozen after
-/// pre-training for ablation cells. Returns the whole-run result (the
-/// time-sequential concatenation for drift cells), the final learner
-/// statistics, and the per-segment outcomes (empty for non-drift cells).
-fn execute_policy(
+/// Runs one execution unit — a single-cluster cell's whole fleet, or one
+/// shard of a multi-cluster cell — over its evaluation segments (one for
+/// non-drift cells), carrying the learners across segment boundaries with
+/// online training continuing, or frozen after pre-training for ablation
+/// cells. Fully self-contained: everything derives from the unit's
+/// `seeds`, so units can run on any thread in any order.
+fn run_unit(
     scenario: &Scenario,
     ctx: &RunContext,
-    cluster: &ClusterConfig,
-    name: &str,
+    unit: usize,
     seeds: &LearnerSeeds,
-    segment_traces: &[&Trace],
+    traces: &[Arc<Trace>],
     elastic: &[ElasticSchedule],
-) -> Result<(ExperimentResult, Option<DrlStats>, Vec<SegmentRun>), String> {
+    name: &str,
+) -> Result<ShardRun, String> {
+    let started = Instant::now(); // lint:allow(wall-clock): timing feeds BenchReport only, never SuiteReport
+    let cluster = &scenario.topology.clusters()[unit];
+    // The unit's share of the evaluation stream sizes its pre-training.
+    let eval_jobs = scenario
+        .workload
+        .shard_jobs_for(cluster.num_servers, scenario.topology.servers());
     // Elastic cells run (and pre-train) against the headroom config, so
     // mid-run joins have slots and learners size their padded width from
     // the same `effective_max`. Pre-training itself stays membership-free,
@@ -986,11 +961,12 @@ fn execute_policy(
         .as_ref()
         .map(|spec| spec.cluster_with_headroom(cluster));
     let cluster = headroom.as_ref().unwrap_or(cluster);
-    let (mut allocator, mut power) = build_policy(scenario, ctx, cluster, seeds)?;
+    let (mut allocator, mut power) = build_policy(scenario, ctx, cluster, seeds, eval_jobs)?;
     if !scenario.online_learning() {
         allocator.set_learning(false);
         power.set_learning(false);
     }
+    let traces: Vec<&Trace> = traces.iter().map(Arc::as_ref).collect();
     // Lower the chaos axis (if any) to per-segment fleet events against
     // *this unit's* cluster size and segment spans, from the unit's own
     // fault seed. Pre-training above stays fault-free — the paper's
@@ -998,7 +974,7 @@ fn execute_policy(
     // (and pre-train cache keys stay stable across the fault axis).
     let mut fleet_events: Vec<Vec<(f64, FleetOp)>> = match &scenario.fault {
         None => Vec::new(),
-        Some(fault) => segment_traces
+        Some(fault) => traces
             .iter()
             .map(|trace| match trace.jobs().last() {
                 // An empty segment (possible for a small shard's share)
@@ -1012,24 +988,23 @@ fn execute_policy(
             })
             .collect(),
     };
-    // Merge the pre-lowered elastic schedules (the caller lowers them —
-    // against the cell stream for the single path, the shard's capacity
-    // share for shards) behind the fault events: a stable sort keeps fault
-    // ops ahead of membership ops at equal times, deterministically.
+    // Merge the unit's pre-lowered elastic schedules behind the fault
+    // events: a stable sort keeps fault ops ahead of membership ops at
+    // equal times, deterministically.
     if !elastic.is_empty() {
         if fleet_events.is_empty() {
-            fleet_events = vec![Vec::new(); segment_traces.len()];
+            fleet_events = vec![Vec::new(); traces.len()];
         }
         for (events, schedule) in fleet_events.iter_mut().zip(elastic) {
             events.extend(schedule.events.iter().cloned());
             events.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("event times are finite"));
         }
     }
-    let experiment = SegmentedExperiment::new(name, cluster, segment_traces)
+    let experiment = SegmentedExperiment::new(name, cluster, &traces)
         .with_limit(scenario.run_limit())
         .with_fleet_events(&fleet_events);
-    let mut segments: Vec<SegmentRun> = Vec::with_capacity(segment_traces.len());
-    for (i, trace) in segment_traces.iter().enumerate() {
+    let mut segments: Vec<SegmentRun> = Vec::with_capacity(traces.len());
+    for (i, trace) in traces.iter().enumerate() {
         let started = Instant::now(); // lint:allow(wall-clock): timing feeds BenchReport only, never SuiteReport
         let result = experiment.run_segment(i, allocator.as_dyn(), power.as_dyn())?;
         segments.push(SegmentRun {
@@ -1041,66 +1016,29 @@ fn execute_policy(
             result,
         });
     }
-    let drl_stats = allocator.stats();
-    // Gate on the drift axis, not the segment count: a (degenerate but
-    // valid) single-segment drift cell must still report its segment row,
-    // while non-drift cells stay on the historical single-result shape.
-    if scenario.drift.is_none() {
-        let result = segments.remove(0).result;
-        Ok((result, drl_stats, Vec::new()))
-    } else {
+    let result = if scenario.drift.is_some() {
         let refs: Vec<&ExperimentResult> = segments.iter().map(|s| &s.result).collect();
-        let overall = concat_segments(name, &refs);
-        Ok((overall, drl_stats, segments))
-    }
-}
-
-/// Simulates one shard (cluster) of a multi-cluster cell on its routed
-/// per-segment sub-streams. Fully self-contained: learner seeds derive
-/// from the shard's own sub-seed, so shards can run on any thread in any
-/// order; within the shard, segments run sequentially under the carried
-/// learners.
-fn run_shard(
-    scenario: &Scenario,
-    ctx: &RunContext,
-    shard: usize,
-    cluster: &ClusterConfig,
-    segment_jobs: Vec<Vec<hierdrl_sim::job::Job>>,
-    elastic: &[ElasticSchedule],
-    name: &str,
-) -> Result<ShardRun, String> {
-    let started = Instant::now(); // lint:allow(wall-clock): timing feeds BenchReport only, never SuiteReport
-    let jobs_routed: u64 = segment_jobs.iter().map(|j| j.len() as u64).sum();
-    // The streams were truncated before routing; each shard drains its
-    // share of each segment.
-    let traces: Vec<Trace> = segment_jobs
-        .into_iter()
-        .enumerate()
-        .map(|(i, jobs)| {
-            Trace::new(jobs).map_err(|e| format!("shard {shard} segment {i} trace: {e}"))
-        })
-        .collect::<Result<_, _>>()?;
-    let refs: Vec<&Trace> = traces.iter().collect();
-    let seeds = LearnerSeeds::for_shard(scenario, shard);
-    let (result, drl_stats, segments) =
-        execute_policy(scenario, ctx, cluster, name, &seeds, &refs, elastic)?;
+        concat_segments(name, &refs)
+    } else {
+        segments[0].result.clone()
+    };
     Ok(ShardRun {
         shard: ShardResult {
-            cluster: shard,
+            cluster: unit,
             servers: cluster.num_servers,
-            jobs_routed,
+            jobs_routed: segments.iter().map(|s| s.jobs_routed).sum(),
             result,
         },
-        drl_stats,
+        drl_stats: allocator.stats(),
         segments,
         wall_s: started.elapsed().as_secs_f64(),
     })
 }
 
-/// Fleet-level view of per-shard learner statistics: counters sum, losses
-/// weight by decision count, and the autoencoder flag ANDs across shards.
-fn merge_drl_stats(per_shard: impl IntoIterator<Item = Option<DrlStats>>) -> Option<DrlStats> {
-    let stats: Vec<DrlStats> = per_shard.into_iter().flatten().collect();
+/// Fleet-level view of per-unit learner statistics: counters sum, losses
+/// weight by decision count, and the autoencoder flag ANDs across units.
+fn merge_drl_stats(per_unit: impl IntoIterator<Item = Option<DrlStats>>) -> Option<DrlStats> {
+    let stats: Vec<DrlStats> = per_unit.into_iter().flatten().collect();
     if stats.is_empty() {
         return None;
     }
@@ -1190,7 +1128,7 @@ fn lower_elastic(
     spec: &ElasticSpec,
     elastic_seed: u64,
     cluster: &ClusterConfig,
-    jobs: &[hierdrl_sim::job::Job],
+    jobs: &[Job],
     demand_share: f64,
 ) -> ElasticSchedule {
     match jobs.last() {
@@ -1207,9 +1145,12 @@ fn lower_elastic(
 }
 
 /// `(min, max, time-weighted mean)` of the summed scheduled live count
-/// across one segment's per-shard schedules (a single-element slice for
-/// single-cluster cells), over `[0, end_s]`.
-fn combined_size_stats(schedules: &[&ElasticSchedule], end_s: f64) -> (usize, usize, f64) {
+/// across one segment's per-unit schedules, over `[0, end_s]`: entries
+/// at or after `end_s` are outside the window and count nowhere.
+pub(crate) fn combined_size_stats(
+    schedules: &[&ElasticSchedule],
+    end_s: f64,
+) -> (usize, usize, f64) {
     let initial: usize = schedules.iter().map(|s| s.sizes[0].1).sum();
     if end_s <= 0.0 {
         return (initial, initial, initial as f64);
@@ -1237,17 +1178,17 @@ fn combined_size_stats(schedules: &[&ElasticSchedule], end_s: f64) -> (usize, us
     (min, max, weighted / end_s)
 }
 
-/// The cell's fleet-size envelope from its lowered schedules: shards sum
+/// The cell's fleet-size envelope from its lowered schedules: units sum
 /// on their shared clock within a segment, segments weight by their spans.
-/// Fixed-fleet cells (`per_shard` empty) report the constant topology size.
-fn fleet_size_for(m_total: usize, per_shard: &[Vec<ElasticSchedule>], spans: &[f64]) -> FleetSize {
-    if per_shard.is_empty() {
+/// Fixed-fleet cells (`per_unit` empty) report the constant topology size.
+fn fleet_size_for(m_total: usize, per_unit: &[Vec<ElasticSchedule>], spans: &[f64]) -> FleetSize {
+    if per_unit.is_empty() {
         return FleetSize::fixed(m_total);
     }
     let (mut min, mut max) = (usize::MAX, 0usize);
     let (mut weighted, mut total_span) = (0.0f64, 0.0f64);
     for (i, &span) in spans.iter().enumerate() {
-        let schedules: Vec<&ElasticSchedule> = per_shard.iter().map(|s| &s[i]).collect();
+        let schedules: Vec<&ElasticSchedule> = per_unit.iter().map(|s| &s[i]).collect();
         let (lo, hi, mean) = combined_size_stats(&schedules, span);
         min = min.min(lo);
         max = max.max(hi);
@@ -1266,20 +1207,62 @@ fn fleet_size_for(m_total: usize, per_shard: &[Vec<ElasticSchedule>], spans: &[f
 
 /// Per-segment arrival spans of an execution stream (0 for empty
 /// segments), the weights `fleet_size_for` aggregates over.
-fn segment_spans<'a>(segments: impl IntoIterator<Item = &'a [hierdrl_sim::job::Job]>) -> Vec<f64> {
+fn segment_spans<'a>(segments: impl IntoIterator<Item = &'a [Job]>) -> Vec<f64> {
     segments
         .into_iter()
         .map(|jobs| jobs.last().map_or(0.0, |j| j.arrival.as_secs()))
         .collect()
 }
 
+/// Splits every segment of a multi-cluster cell's stream across its units:
+/// under static capacity weights for fixed fleets; for elastic cells,
+/// under a piecewise-constant weight timeline that scales each unit's
+/// weight with its scheduled live count.
+fn route(
+    router: RouterPolicy,
+    clusters: &[ClusterConfig],
+    weights: &[f64],
+    streams: &[&[Job]],
+    elastic: &[Vec<ElasticSchedule>],
+) -> Result<Vec<Vec<Arc<Trace>>>, String> {
+    let mut per_unit: Vec<Vec<Arc<Trace>>> = vec![Vec::new(); clusters.len()];
+    for (i, stream) in streams.iter().enumerate() {
+        let mut times: Vec<f64> = vec![0.0];
+        for schedules in elastic {
+            times.extend(schedules[i].sizes.iter().skip(1).map(|&(t, _)| t));
+        }
+        times.sort_by(|a, b| a.partial_cmp(b).expect("schedule times are finite"));
+        times.dedup();
+        let epochs: Vec<(f64, Vec<f64>)> = times
+            .iter()
+            .map(|&t| {
+                let w = (0..clusters.len())
+                    .map(|k| match elastic.get(k) {
+                        None => weights[k],
+                        Some(s) => {
+                            s[i].size_at(t) as f64 * weights[k] / clusters[k].num_servers as f64
+                        }
+                    })
+                    .collect();
+                (t, w)
+            })
+            .collect();
+        let routed = Router::split_epochs(router, &epochs, stream);
+        for (k, jobs) in routed.into_iter().enumerate() {
+            let trace =
+                Trace::new(jobs).map_err(|e| format!("shard {k} segment {i} trace: {e}"))?;
+            per_unit[k].push(Arc::new(trace));
+        }
+    }
+    Ok(per_unit)
+}
+
 fn run_cell(scenario: &Scenario, ctx: &RunContext) -> Result<CellRun, String> {
     let started = Instant::now(); // lint:allow(wall-clock): timing feeds BenchReport only, never SuiteReport
     let (mut traces, provenance) = resolve_cell_traces(scenario, ctx)?;
     // Arrival-spike fault shapes extend the evaluation stream itself, so
-    // they inject here — before the single/multi-cluster split and before
-    // routing — from the *cell-level* fault seed. Both execution paths see
-    // the same merged stream, preserving sharded-vs-serial byte-identity.
+    // they inject here — before routing — from the *cell-level* fault
+    // seed, and every unit sees its share of the same merged stream.
     if let Some(fault) = scenario.fault.as_ref().filter(|f| f.has_spikes()) {
         let fault_seed = scenario.fault_seed();
         traces = traces
@@ -1301,178 +1284,110 @@ fn run_cell(scenario: &Scenario, ctx: &RunContext) -> Result<CellRun, String> {
             .collect::<Result<_, _>>()?;
     }
     let name = scenario.policy.name();
-
-    let (result, drl_stats, segments, shards, fleet_size) = match &scenario.topology {
-        crate::scenario::Topology::Single { cluster, .. } => {
-            let refs: Vec<&Trace> = traces.iter().map(Arc::as_ref).collect();
-            // Lower the elastic axis (if any) feed-forward from the cell
-            // stream: one schedule per segment, from the cell-level
-            // elastic seed, seeing the whole offered demand.
-            let elastic: Vec<ElasticSchedule> = match &scenario.elastic {
-                None => Vec::new(),
-                Some(spec) => refs
-                    .iter()
-                    .map(|t| lower_elastic(spec, scenario.elastic_seed(), cluster, t.jobs(), 1.0))
-                    .collect(),
-            };
-            let fleet_size = if elastic.is_empty() {
-                FleetSize::fixed(cluster.num_servers)
-            } else {
-                let spans = segment_spans(refs.iter().map(|t| t.jobs()));
-                fleet_size_for(cluster.num_servers, std::slice::from_ref(&elastic), &spans)
-            };
-            let seeds = LearnerSeeds::for_cell(scenario);
-            let (result, drl_stats, segments) =
-                execute_policy(scenario, ctx, cluster, &name, &seeds, &refs, &elastic)?;
-            (result, drl_stats, segments, Vec::new(), fleet_size)
-        }
-        crate::scenario::Topology::MultiCluster {
-            clusters, router, ..
-        } => {
-            // Weigh clusters by aggregate capacity (server count for
-            // unit-capacity fleets), so a cluster of two 2x servers
-            // outweighs one of three little machines.
-            let weights: Vec<f64> = clusters.iter().map(ClusterConfig::routing_weight).collect();
-            // `max_jobs` truncates each segment's arrival stream before
-            // routing (see module docs).
-            let streams: Vec<&[hierdrl_sim::job::Job]> = traces
-                .iter()
-                .map(|trace| {
-                    let jobs = trace.jobs();
-                    match scenario.max_jobs {
-                        Some(n) => &jobs[..jobs.len().min(n as usize)],
-                        None => jobs,
-                    }
-                })
-                .collect();
-            // Elastic cells lower every shard's membership trajectory
-            // *before* routing, from the cell-level stream scaled by the
-            // shard's initial capacity share — feed-forward, so the router
-            // can re-derive capacity weights at the scheduled membership
-            // boundaries without ever observing live simulation state.
-            let elastic_per_shard: Vec<Vec<ElasticSchedule>> = match &scenario.elastic {
-                None => Vec::new(),
-                Some(spec) => {
-                    let total: f64 = weights.iter().sum();
-                    (0..clusters.len())
-                        .map(|k| {
-                            streams
-                                .iter()
-                                .map(|jobs| {
-                                    lower_elastic(
-                                        spec,
-                                        scenario.shard_elastic_seed(k),
-                                        &clusters[k],
-                                        jobs,
-                                        weights[k] / total,
-                                    )
-                                })
-                                .collect()
-                        })
-                        .collect()
-                }
-            };
-            let fleet_size = if elastic_per_shard.is_empty() {
-                FleetSize::fixed(scenario.topology.servers())
-            } else {
-                let spans = segment_spans(streams.iter().copied());
-                fleet_size_for(scenario.topology.servers(), &elastic_per_shard, &spans)
-            };
-            // Route every segment independently and deterministically:
-            // static capacity weights for fixed fleets; for elastic cells,
-            // a piecewise-constant weight timeline that scales each
-            // shard's weight with its scheduled live count.
-            let mut per_shard: Vec<Vec<Vec<hierdrl_sim::job::Job>>> =
-                (0..clusters.len()).map(|_| Vec::new()).collect();
-            for (i, stream) in streams.iter().enumerate() {
-                let routed = if elastic_per_shard.is_empty() {
-                    Router::split(*router, &weights, stream)
-                } else {
-                    let mut times: Vec<f64> = vec![0.0];
-                    for schedules in &elastic_per_shard {
-                        times.extend(schedules[i].sizes.iter().skip(1).map(|&(t, _)| t));
-                    }
-                    times.sort_by(|a, b| a.partial_cmp(b).expect("schedule times are finite"));
-                    times.dedup();
-                    let epochs: Vec<(f64, Vec<f64>)> = times
-                        .iter()
-                        .map(|&t| {
-                            let w = (0..clusters.len())
-                                .map(|k| {
-                                    elastic_per_shard[k][i].size_at(t) as f64 * weights[k]
-                                        / clusters[k].num_servers as f64
-                                })
-                                .collect();
-                            (t, w)
-                        })
-                        .collect();
-                    Router::split_epochs(*router, &epochs, stream)
-                };
-                for (k, jobs) in routed.into_iter().enumerate() {
-                    per_shard[k].push(jobs);
-                }
+    let clusters = scenario.topology.clusters();
+    let multi = scenario.topology.is_multi_cluster();
+    let seeds: Vec<LearnerSeeds> = (0..clusters.len())
+        .map(|k| scenario.learner_seeds(scenario.unit_root(k)))
+        .collect();
+    // Weigh units by aggregate capacity (server count for unit-capacity
+    // fleets), so a cluster of two 2x servers outweighs one of three
+    // little machines.
+    let weights: Vec<f64> = clusters.iter().map(ClusterConfig::routing_weight).collect();
+    let total_weight: f64 = weights.iter().sum();
+    // A multi-cluster cell truncates each segment's arrivals to `max_jobs`
+    // before routing (see module docs).
+    let streams: Vec<&[Job]> = traces
+        .iter()
+        .map(|trace| {
+            let jobs = trace.jobs();
+            match scenario.max_jobs.filter(|_| multi) {
+                Some(n) => &jobs[..jobs.len().min(n as usize)],
+                None => jobs,
             }
+        })
+        .collect();
+    // Elastic cells lower every unit's membership trajectory *before*
+    // routing, from the cell stream scaled by the unit's capacity share —
+    // feed-forward, so the router can re-derive capacity weights at the
+    // scheduled membership boundaries without observing live state.
+    let elastic: Vec<Vec<ElasticSchedule>> = match &scenario.elastic {
+        None => Vec::new(),
+        Some(spec) => (0..clusters.len())
+            .map(|k| {
+                streams
+                    .iter()
+                    .map(|jobs| {
+                        let share = weights[k] / total_weight;
+                        lower_elastic(spec, seeds[k].elastic_seed, &clusters[k], jobs, share)
+                    })
+                    .collect()
+            })
+            .collect(),
+    };
+    let spans = segment_spans(streams.iter().copied());
+    let fleet_size = fleet_size_for(scenario.topology.servers(), &elastic, &spans);
+    // A single-cluster unit takes the whole stream, borrowing the cached
+    // traces; shards take their routed share.
+    let unit_traces = match scenario.topology.router() {
+        None => vec![traces.clone()],
+        Some(router) => route(router, clusters, &weights, &streams, &elastic)?,
+    };
 
-            // Intra-cell shard parallelism: each cluster simulates on its
-            // own worker thread (running its segments sequentially under
-            // carried learners); the rayon shim returns results in input
-            // (shard) order, so the merge below is schedule-independent.
-            let work: Vec<(usize, Vec<Vec<hierdrl_sim::job::Job>>)> =
-                per_shard.into_iter().enumerate().collect();
-            let outcomes: Vec<Result<ShardRun, String>> = work
-                .into_par_iter()
-                .map(|(k, segs)| {
-                    let elastic: &[ElasticSchedule] =
-                        elastic_per_shard.get(k).map_or(&[], Vec::as_slice);
-                    run_shard(scenario, ctx, k, &clusters[k], segs, elastic, &name)
+    // Intra-cell unit parallelism: each unit simulates on its own worker
+    // thread (running its segments sequentially under carried learners);
+    // the rayon shim returns results in input (unit) order, so the merge
+    // below is schedule-independent.
+    let work: Vec<(usize, Vec<Arc<Trace>>)> = unit_traces.into_iter().enumerate().collect();
+    let outcomes: Vec<Result<ShardRun, String>> = work
+        .into_par_iter()
+        .map(|(k, unit_traces)| {
+            let elastic = elastic.get(k).map_or(&[][..], Vec::as_slice);
+            run_unit(scenario, ctx, k, &seeds[k], &unit_traces, elastic, &name)
+        })
+        .collect();
+    let units = outcomes.into_iter().collect::<Result<Vec<_>, _>>()?;
+
+    // Units share a clock within a segment (aggregate); segments run back
+    // to back (concatenate).
+    let mut segments: Vec<SegmentRun> = (0..traces.len())
+        .map(|i| {
+            let parts: Vec<ShardResult> = units
+                .iter()
+                .map(|u| ShardResult {
+                    cluster: u.shard.cluster,
+                    servers: u.shard.servers,
+                    jobs_routed: u.segments[i].jobs_routed,
+                    result: u.segments[i].result.clone(),
                 })
                 .collect();
-            let shards = outcomes.into_iter().collect::<Result<Vec<_>, _>>()?;
-
-            // Gate on the drift axis (as in `execute_policy`): even a
-            // single-segment drift cell reports its segment row.
-            let (result, segments) = if scenario.drift.is_some() {
-                // Fleet-level per-segment rows: shards share a clock
-                // *within* a segment (aggregate), segments run back to
-                // back (concatenate).
-                let fleet_segments: Vec<SegmentRun> = (0..traces.len())
-                    .map(|i| {
-                        let shard_results: Vec<ShardResult> = shards
-                            .iter()
-                            .map(|s| ShardResult {
-                                cluster: s.shard.cluster,
-                                servers: s.shard.servers,
-                                jobs_routed: s.segments[i].jobs_routed,
-                                result: s.segments[i].result.clone(),
-                            })
-                            .collect();
-                        SegmentRun {
-                            segment: i,
-                            shift: scenario.segment_label(i),
-                            jobs_routed: shard_results.iter().map(|s| s.jobs_routed).sum(),
-                            drl_stats: merge_drl_stats(
-                                shards.iter().map(|s| s.segments[i].drl_stats),
-                            ),
-                            wall_s: shards
-                                .iter()
-                                .map(|s| s.segments[i].wall_s)
-                                .fold(0.0, f64::max),
-                            result: aggregate_shards(&name, &shard_results),
-                        }
-                    })
-                    .collect();
-                let refs: Vec<&ExperimentResult> =
-                    fleet_segments.iter().map(|s| &s.result).collect();
-                (concat_segments(&name, &refs), fleet_segments)
-            } else {
-                let shard_results: Vec<ShardResult> =
-                    shards.iter().map(|s| s.shard.clone()).collect();
-                (aggregate_shards(&name, &shard_results), Vec::new())
-            };
-            let drl_stats = merge_drl_stats(shards.iter().map(|s| s.drl_stats));
-            (result, drl_stats, segments, shards, fleet_size)
-        }
+            SegmentRun {
+                segment: i,
+                shift: scenario.segment_label(i),
+                jobs_routed: parts.iter().map(|p| p.jobs_routed).sum(),
+                drl_stats: merge_drl_stats(units.iter().map(|u| u.segments[i].drl_stats)),
+                wall_s: units
+                    .iter()
+                    .map(|u| u.segments[i].wall_s)
+                    .fold(0.0, f64::max),
+                result: aggregate_shards(&name, &parts),
+            }
+        })
+        .collect();
+    // Gate on the drift axis, not the segment count: a (degenerate but
+    // valid) single-segment drift cell must still report its segment row,
+    // while non-drift cells keep the single-result shape.
+    let result = if scenario.drift.is_some() {
+        let refs: Vec<&ExperimentResult> = segments.iter().map(|s| &s.result).collect();
+        concat_segments(&name, &refs)
+    } else {
+        segments
+            .pop()
+            .expect("a non-drift cell has one segment")
+            .result
     };
+    let drl_stats = merge_drl_stats(units.iter().map(|u| u.drl_stats));
+    // Only multi-cluster cells report per-cluster rows.
+    let shards = if multi { units } else { Vec::new() };
 
     let wall_s = started.elapsed().as_secs_f64();
     let jobs = result.outcome.totals.jobs_completed;
@@ -1489,4 +1404,31 @@ fn run_cell(scenario: &Scenario, ctx: &RunContext) -> Result<CellRun, String> {
             jobs_per_s: jobs as f64 / wall_s.max(1e-9),
         },
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn merging_one_units_learner_stats_reproduces_them() {
+        let trained = DrlStats {
+            decisions: 1500,
+            train_steps: 550,
+            loss_ema: 0.1 + 1.0 / 3.0,
+            autoencoder_trained: true,
+            autoencoder_loss: 0.03 + 1.0 / 7.0,
+        };
+        // A unit that has not decided yet weighs 0/1, not 1: the identity
+        // still holds because such a unit has not trained either.
+        let fresh = *DrlAllocator::new(4, 3, DrlAllocatorConfig::default()).stats();
+        assert_eq!(fresh.decisions, 0);
+        for stats in [trained, fresh] {
+            assert_eq!(
+                serde_json::to_string(&merge_drl_stats([Some(stats)])).unwrap(),
+                serde_json::to_string(&Some(stats)).unwrap()
+            );
+        }
+        assert!(merge_drl_stats([None]).is_none());
+    }
 }

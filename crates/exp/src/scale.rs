@@ -26,7 +26,7 @@
 //! bounds *everything up to and including* that cell — exactly the right
 //! shape for a memory gate, and the reason the cells must not run in
 //! parallel. The rows merge into the committed `BENCH_suite.json` via
-//! [`merge_into_report`], where `perf_gate` guards both jobs/s and
+//! [`BenchReport::merge`], where `perf_gate` guards both jobs/s and
 //! peak-RSS regressions.
 
 use crate::report::{peak_rss_bytes, BenchCell, BenchReport};
@@ -230,22 +230,6 @@ pub fn scale_bench_report(runs: &[ScaleCellRun]) -> BenchReport {
     }
 }
 
-/// Merges scale rows into an existing bench artifact: rows with the same
-/// id are replaced in place, new rows append in run order. Only the cell
-/// list (and the cell count) change — the report's suite-level wall-clock
-/// aggregates still describe the original suite run, which ran in a
-/// different process than the scale cells.
-pub fn merge_into_report(report: &mut BenchReport, runs: &[ScaleCellRun]) {
-    for run in runs {
-        let row = run.bench_cell();
-        match report.cells.iter_mut().find(|c| c.id == row.id) {
-            Some(existing) => *existing = row,
-            None => report.cells.push(row),
-        }
-    }
-    report.cells_total = report.cells.len();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -290,27 +274,6 @@ mod tests {
         assert!(runs[1].result.fleet.sleep_fraction > 0.0);
         // Always-on never does.
         assert_eq!(runs[0].result.fleet.sleep_fraction, 0.0);
-    }
-
-    #[test]
-    fn merge_replaces_matching_rows_and_appends_new_ones() {
-        let runs = run_scale(&tiny()).expect("tiny scale regime");
-        let mut report = scale_bench_report(&runs[..1]);
-        assert_eq!(report.cells_total, 1);
-        merge_into_report(&mut report, &runs);
-        assert_eq!(report.cells_total, 2);
-        assert_eq!(report.cells.len(), 2);
-        let ids: Vec<&str> = report.cells.iter().map(|c| c.id.as_str()).collect();
-        assert_eq!(
-            ids,
-            vec![
-                "scale-m40/paper/round-robin/s42",
-                "scale-m40/paper/rr-timeout-60s/s42"
-            ]
-        );
-        // Re-merging is idempotent on the cell count.
-        merge_into_report(&mut report, &runs);
-        assert_eq!(report.cells.len(), 2);
     }
 
     #[test]

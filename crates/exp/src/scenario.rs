@@ -1204,23 +1204,6 @@ impl ElasticSchedule {
             .last()
             .map_or(0, |&(_, n)| n)
     }
-
-    /// `(min, max, time-weighted mean)` of the scheduled live count over
-    /// `[0, end_s]`. Degenerates to the initial size when `end_s <= 0`.
-    pub fn size_stats(&self, end_s: f64) -> (usize, usize, f64) {
-        let first = self.sizes.first().map_or(0, |&(_, n)| n);
-        if end_s <= 0.0 {
-            return (first, first, first as f64);
-        }
-        let (mut min, mut max, mut weighted) = (usize::MAX, 0usize, 0.0f64);
-        for (i, &(start, n)) in self.sizes.iter().enumerate() {
-            let next = self.sizes.get(i + 1).map_or(end_s, |&(t, _)| t.min(end_s));
-            min = min.min(n);
-            max = max.max(n);
-            weighted += n as f64 * (next - start.min(end_s)).max(0.0);
-        }
-        (min, max, weighted / end_s)
-    }
 }
 
 /// The elastic axis of a scenario: a named autoscaler tier that grows and
@@ -1752,64 +1735,95 @@ impl Scenario {
         mix_seed(self.seed, 1)
     }
 
+    /// Every seed and learner configuration of one execution unit, derived
+    /// from the unit's `root`: the cell seed for a single-cluster cell
+    /// (one unit), [`Scenario::shard_seed`] for shard `k` of a
+    /// multi-cluster cell. Streams 2–5 of the root seed the global tier,
+    /// the local tier, the fault schedule, and the elastic schedule; they
+    /// are disjoint from each other and from the trace stream (1).
+    pub fn learner_seeds(&self, root: u64) -> LearnerSeeds {
+        let policy_seed = mix_seed(root, 2);
+        let dpm_seed = mix_seed(root, 3);
+        let drl = match &self.policy {
+            PolicySpec::Static { .. } => None,
+            PolicySpec::DrlVariant { config, .. }
+            | PolicySpec::Hierarchical {
+                config: Some(config),
+                ..
+            } => Some((**config).clone()),
+            _ => Some(DrlAllocatorConfig::default()),
+        }
+        .map(|mut config| {
+            config.seed = policy_seed;
+            config
+        });
+        let (dpm, co_dpm) = match &self.policy {
+            PolicySpec::Hierarchical {
+                weight,
+                co_pretrain,
+                ..
+            } => {
+                let dpm = RlPowerConfig {
+                    weight: *weight,
+                    seed: dpm_seed,
+                    ..Default::default()
+                };
+                (Some(dpm.clone()), co_pretrain.then_some(dpm))
+            }
+            _ => (None, None),
+        };
+        LearnerSeeds {
+            policy_seed,
+            dpm_seed,
+            fault_seed: mix_seed(root, 4),
+            elastic_seed: mix_seed(root, 5),
+            drl,
+            dpm,
+            co_dpm,
+        }
+    }
+
     /// Seed of the global-tier learner (and pre-training segments).
     pub fn policy_seed(&self) -> u64 {
-        mix_seed(self.seed, 2)
+        self.learner_seeds(self.seed).policy_seed
     }
 
     /// Seed of the local-tier learner.
     pub fn dpm_seed(&self) -> u64 {
-        mix_seed(self.seed, 3)
+        self.learner_seeds(self.seed).dpm_seed
     }
 
     /// Seed of the fault schedule (which servers crash/straggle and when
-    /// the seed-drawn shapes fire) — stream 4, disjoint from trace (1),
-    /// policy (2), and local-tier (3) streams.
+    /// the seed-drawn shapes fire).
     pub fn fault_seed(&self) -> u64 {
-        mix_seed(self.seed, 4)
+        self.learner_seeds(self.seed).fault_seed
     }
 
     /// Seed of the elastic schedule (the learned autoscaler's exploration
-    /// and every seed-drawn scaling choice) — stream 5, disjoint from
-    /// trace (1), policy (2), local-tier (3), and fault (4) streams.
+    /// and every seed-drawn scaling choice).
     pub fn elastic_seed(&self) -> u64 {
-        mix_seed(self.seed, 5)
+        self.learner_seeds(self.seed).elastic_seed
     }
 
-    /// Base seed of shard `k` of a multi-cluster cell — the second level of
+    /// Root seed of shard `k` of a multi-cluster cell — the second level of
     /// the two-level derivation scheme: the cell seed spawns one SplitMix64
     /// sub-seed per shard (streams `0x100 + k`, disjoint from the cell's
-    /// own 1–3), and each shard then derives its learner seeds from its
-    /// sub-seed exactly like a single-cluster cell does from the cell seed.
+    /// own 1–5), and each shard derives its [`Scenario::learner_seeds`]
+    /// from it exactly like a single-cluster cell does from the cell seed.
     /// Shards are therefore mutually independent *and* independent of the
     /// cell-level streams.
     pub fn shard_seed(&self, shard: usize) -> u64 {
         mix_seed(self.seed, 0x100 + shard as u64)
     }
 
-    /// Seed of shard `k`'s global-tier learner (and pre-training segments).
-    pub fn shard_policy_seed(&self, shard: usize) -> u64 {
-        mix_seed(self.shard_seed(shard), 2)
-    }
-
-    /// Seed of shard `k`'s local-tier learner.
-    pub fn shard_dpm_seed(&self, shard: usize) -> u64 {
-        mix_seed(self.shard_seed(shard), 3)
-    }
-
-    /// Seed of shard `k`'s fault schedule: each shard lowers the cell's
-    /// [`FaultSpec`] independently against its own cluster size, so
-    /// sharded execution stays byte-identical to serial.
-    pub fn shard_fault_seed(&self, shard: usize) -> u64 {
-        mix_seed(self.shard_seed(shard), 4)
-    }
-
-    /// Seed of shard `k`'s elastic schedule: each shard's membership
-    /// trajectory lowers from its own sub-seed (and its capacity share of
-    /// the cell stream), so sharded elastic cells stay byte-identical to
-    /// serial execution.
-    pub fn shard_elastic_seed(&self, shard: usize) -> u64 {
-        mix_seed(self.shard_seed(shard), 5)
+    /// Root seed of execution unit `k`: the cell seed when the cell's one
+    /// cluster is the whole unit, [`Scenario::shard_seed`] otherwise.
+    pub fn unit_root(&self, unit: usize) -> u64 {
+        if self.topology.is_multi_cluster() {
+            self.shard_seed(unit)
+        } else {
+            self.seed
+        }
     }
 
     /// The evaluation trace recipe (the whole stream for non-drift cells;
@@ -1897,83 +1911,53 @@ impl Scenario {
         }
     }
 
-    fn drl_config_with_seed(&self, policy_seed: u64) -> Option<DrlAllocatorConfig> {
-        let seeded = |mut config: DrlAllocatorConfig| {
-            config.seed = policy_seed;
-            config
-        };
-        match &self.policy {
-            PolicySpec::Static { .. } => None,
-            PolicySpec::DrlVariant { config, .. }
-            | PolicySpec::Hierarchical {
-                config: Some(config),
-                ..
-            } => Some(seeded((**config).clone())),
-            _ => Some(seeded(DrlAllocatorConfig::default())),
-        }
-    }
-
-    fn dpm_config_with_seed(&self, dpm_seed: u64) -> Option<RlPowerConfig> {
-        match &self.policy {
-            PolicySpec::Hierarchical { weight, .. } => Some(RlPowerConfig {
-                weight: *weight,
-                seed: dpm_seed,
-                ..Default::default()
-            }),
-            _ => None,
-        }
-    }
-
     /// The global-tier configuration this cell trains (learned policies).
     pub fn drl_config(&self) -> Option<DrlAllocatorConfig> {
-        self.drl_config_with_seed(self.policy_seed())
-    }
-
-    /// Shard `k`'s global-tier configuration (multi-cluster cells; every
-    /// shard trains its own learner from its own derived seed).
-    pub fn shard_drl_config(&self, shard: usize) -> Option<DrlAllocatorConfig> {
-        self.drl_config_with_seed(self.shard_policy_seed(shard))
+        self.learner_seeds(self.seed).drl
     }
 
     /// The local-tier configuration this cell runs (hierarchical only).
     pub fn dpm_config(&self) -> Option<RlPowerConfig> {
-        self.dpm_config_with_seed(self.dpm_seed())
+        self.learner_seeds(self.seed).dpm
     }
 
-    /// Shard `k`'s local-tier configuration (multi-cluster hierarchical
-    /// cells).
-    pub fn shard_dpm_config(&self, shard: usize) -> Option<RlPowerConfig> {
-        self.dpm_config_with_seed(self.shard_dpm_seed(shard))
-    }
-
-    /// The local-tier configuration *included in pre-training* — `None`
-    /// for `co_pretrain: false` hierarchical cells, which keeps them out
-    /// of the pre-train cache key so every Fig. 10 operating point (and
-    /// the fixed-timeout baselines) shares one pre-trained global tier.
+    /// The local-tier configuration *included in pre-training* (see
+    /// [`LearnerSeeds::co_dpm`]).
     pub fn co_pretrain_dpm_config(&self) -> Option<RlPowerConfig> {
-        match &self.policy {
-            PolicySpec::Hierarchical {
-                co_pretrain: true, ..
-            } => self.dpm_config(),
-            _ => None,
-        }
+        self.learner_seeds(self.seed).co_dpm
     }
+}
 
-    /// Shard `k`'s pre-training local-tier configuration (the shard-level
-    /// analogue of [`Scenario::co_pretrain_dpm_config`]).
-    pub fn shard_co_pretrain_dpm_config(&self, shard: usize) -> Option<RlPowerConfig> {
-        match &self.policy {
-            PolicySpec::Hierarchical {
-                co_pretrain: true, ..
-            } => self.shard_dpm_config(shard),
-            _ => None,
-        }
-    }
+/// The derived seeds and learner configurations of one execution unit
+/// (see [`Scenario::learner_seeds`]).
+#[derive(Debug, Clone)]
+pub struct LearnerSeeds {
+    /// Seed of the global-tier learner and its pre-training segments.
+    pub policy_seed: u64,
+    /// Seed of the local-tier learner.
+    pub dpm_seed: u64,
+    /// Seed of the unit's fault schedule.
+    pub fault_seed: u64,
+    /// Seed of the unit's elastic schedule.
+    pub elastic_seed: u64,
+    /// The global-tier configuration, seeded with `policy_seed` (learned
+    /// policies only).
+    pub drl: Option<DrlAllocatorConfig>,
+    /// The local-tier configuration, seeded with `dpm_seed` (hierarchical
+    /// only).
+    pub dpm: Option<RlPowerConfig>,
+    /// The local-tier configuration included in pre-training: `dpm` for
+    /// co-pre-trained hierarchical cells, `None` otherwise — which keeps
+    /// `co_pretrain: false` cells out of the pre-train cache key, so every
+    /// Fig. 10 operating point (and the fixed-timeout baselines) shares one
+    /// pre-trained global tier.
+    pub co_dpm: Option<RlPowerConfig>,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::combined_size_stats;
     use hierdrl_trace::source::TraceSource;
 
     #[test]
@@ -2051,6 +2035,9 @@ mod tests {
         assert_eq!(dpm.seed, s.dpm_seed());
         assert!((dpm.weight - 0.3).abs() < 1e-12);
         assert!(s.policy.is_learned());
+        // A single-cluster cell is one unit rooted at the cell seed.
+        assert_eq!(s.unit_root(0), s.seed);
+        assert_eq!(s.learner_seeds(s.seed).policy_seed, s.policy_seed());
     }
 
     #[test]
@@ -2240,9 +2227,10 @@ mod tests {
         // Shard sub-seeds differ from each other and from the cell streams.
         let mut seen = vec![s.trace_seed(), s.policy_seed(), s.dpm_seed()];
         for k in 0..3 {
+            let shard = s.learner_seeds(s.shard_seed(k));
             seen.push(s.shard_seed(k));
-            seen.push(s.shard_policy_seed(k));
-            seen.push(s.shard_dpm_seed(k));
+            seen.push(shard.policy_seed);
+            seen.push(shard.dpm_seed);
         }
         let mut dedup = seen.clone();
         dedup.sort_unstable();
@@ -2250,13 +2238,19 @@ mod tests {
         assert_eq!(dedup.len(), seen.len(), "derived seeds must not collide");
 
         // Shard configs carry the shard-derived seeds.
-        assert_eq!(s.shard_drl_config(1).unwrap().seed, s.shard_policy_seed(1));
-        assert_eq!(s.shard_dpm_config(2).unwrap().seed, s.shard_dpm_seed(2));
+        let (one, two) = (
+            s.learner_seeds(s.shard_seed(1)),
+            s.learner_seeds(s.shard_seed(2)),
+        );
+        assert_eq!(one.drl.unwrap().seed, one.policy_seed);
+        assert_eq!(two.dpm.unwrap().seed, two.dpm_seed);
+        let zero = s.learner_seeds(s.shard_seed(0));
         assert_eq!(
-            s.shard_co_pretrain_dpm_config(0),
-            s.shard_dpm_config(0),
+            zero.co_dpm, zero.dpm,
             "co-pre-trained hierarchical shards restore their local tier"
         );
+        // Shards are units rooted at their sub-seeds.
+        assert_eq!(s.unit_root(2), s.shard_seed(2));
     }
 
     #[test]
@@ -2276,7 +2270,7 @@ mod tests {
             faulted.policy_seed(),
             faulted.dpm_seed(),
             faulted.fault_seed(),
-            faulted.shard_fault_seed(0),
+            faulted.learner_seeds(faulted.shard_seed(0)).fault_seed,
         ];
         let mut dedup = seeds.to_vec();
         dedup.sort_unstable();
@@ -2544,7 +2538,10 @@ mod tests {
         // Stream 5 is disjoint from the other per-cell streams.
         assert_ne!(s.elastic_seed(), s.fault_seed());
         assert_ne!(s.elastic_seed(), s.trace_seed());
-        assert_ne!(s.shard_elastic_seed(0), s.shard_elastic_seed(1));
+        assert_ne!(
+            s.learner_seeds(s.shard_seed(0)).elastic_seed,
+            s.learner_seeds(s.shard_seed(1)).elastic_seed
+        );
     }
 
     /// A saturating-then-quiet stream: heavy demand in the first half of
@@ -2587,7 +2584,7 @@ mod tests {
         assert!(joins >= 1, "heavy first half should trigger scale-out");
         assert!(leaves >= 1, "quiet second half should trigger scale-in");
         // The scheduled size stays inside the configured range.
-        let (min, max, mean) = schedule.size_stats(12_000.0);
+        let (min, max, mean) = combined_size_stats(&[&schedule], 12_000.0);
         assert!(min >= spec.min_slots(4) && max <= spec.max_slots(4));
         assert!(mean >= min as f64 && mean <= max as f64);
         // Events arrive in time order, sizes start at the initial fleet.
@@ -2611,12 +2608,14 @@ mod tests {
     fn schedule_size_stats_are_time_weighted() {
         let schedule = ElasticSchedule {
             events: Vec::new(),
-            sizes: vec![(0.0, 4), (100.0, 5), (300.0, 3)],
+            sizes: vec![(0.0, 4), (100.0, 5), (300.0, 3), (500.0, 9)],
         };
         assert_eq!(schedule.size_at(0.0), 4);
         assert_eq!(schedule.size_at(150.0), 5);
-        assert_eq!(schedule.size_at(1000.0), 3);
-        let (min, max, mean) = schedule.size_stats(400.0);
+        assert_eq!(schedule.size_at(450.0), 3);
+        assert_eq!(schedule.size_at(1000.0), 9);
+        // The entry past `end_s` counts in neither the bounds nor the mean.
+        let (min, max, mean) = combined_size_stats(&[&schedule], 400.0);
         assert_eq!((min, max), (3, 5));
         // 100s at 4, 200s at 5, 100s at 3 over 400s.
         assert!((mean - (400.0 + 1000.0 + 300.0) / 400.0).abs() < 1e-12);

@@ -136,7 +136,8 @@ fn shard_learners_are_independent_per_shard() {
     // Changing the cell seed changes both shards' learner seeds (the
     // two-level derivation): the per-shard configs must differ.
     let s = &cell.scenario;
-    assert_ne!(s.shard_policy_seed(0), s.shard_policy_seed(1));
+    let policy_seed = |s: &Scenario, k| s.learner_seeds(s.shard_seed(k)).policy_seed;
+    assert_ne!(policy_seed(s, 0), policy_seed(s, 1));
     let t = Scenario::new(
         s.topology.clone(),
         s.workload.clone(),
@@ -144,7 +145,7 @@ fn shard_learners_are_independent_per_shard() {
         s.seed + 1,
         s.max_jobs,
     );
-    assert_ne!(t.shard_policy_seed(0), s.shard_policy_seed(0));
+    assert_ne!(policy_seed(&t, 0), policy_seed(s, 0));
 }
 
 #[test]
