@@ -967,39 +967,35 @@ fn run_unit(
         power.set_learning(false);
     }
     let traces: Vec<&Trace> = traces.iter().map(Arc::as_ref).collect();
-    // Lower the chaos axis (if any) to per-segment fleet events against
-    // *this unit's* cluster size and segment spans, from the unit's own
-    // fault seed. Pre-training above stays fault-free — the paper's
-    // learners train on healthy fleets and meet faults only at evaluation
-    // (and pre-train cache keys stay stable across the fault axis).
-    let mut fleet_events: Vec<Vec<(f64, FleetOp)>> = match &scenario.fault {
-        None => Vec::new(),
-        Some(fault) => traces
-            .iter()
-            .map(|trace| match trace.jobs().last() {
-                // An empty segment (possible for a small shard's share)
-                // has no span to schedule against — run it fault-free.
-                None => Vec::new(),
-                Some(last) => fault.lower(
+    // Per segment, lower the chaos axis (if any) against *this unit's*
+    // cluster size and segment span, from the unit's own fault seed, then
+    // merge the unit's pre-lowered elastic schedule behind the fault
+    // events: a stable sort keeps fault ops ahead of membership ops at
+    // equal times, deterministically. Pre-training above stays fault-free
+    // — the paper's learners train on healthy fleets and meet faults only
+    // at evaluation (and pre-train cache keys stay stable across the
+    // fault axis).
+    let fleet_events: Vec<Vec<(f64, FleetOp)>> = traces
+        .iter()
+        .enumerate()
+        .map(|(i, trace)| {
+            let mut events = match (&scenario.fault, trace.jobs().last()) {
+                (Some(fault), Some(last)) => fault.lower(
                     seeds.fault_seed,
                     cluster.num_servers,
                     last.arrival.as_secs(),
                 ),
-            })
-            .collect(),
-    };
-    // Merge the unit's pre-lowered elastic schedules behind the fault
-    // events: a stable sort keeps fault ops ahead of membership ops at
-    // equal times, deterministically.
-    if !elastic.is_empty() {
-        if fleet_events.is_empty() {
-            fleet_events = vec![Vec::new(); traces.len()];
-        }
-        for (events, schedule) in fleet_events.iter_mut().zip(elastic) {
-            events.extend(schedule.events.iter().cloned());
-            events.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("event times are finite"));
-        }
-    }
+                // No fault axis, or an empty segment (possible for a small
+                // shard's share) with no span to schedule against.
+                _ => Vec::new(),
+            };
+            if let Some(schedule) = elastic.get(i) {
+                events.extend(schedule.events.iter().cloned());
+                events.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("event times are finite"));
+            }
+            events
+        })
+        .collect();
     let experiment = SegmentedExperiment::new(name, cluster, &traces)
         .with_limit(scenario.run_limit())
         .with_fleet_events(&fleet_events);
@@ -1179,15 +1175,21 @@ pub(crate) fn combined_size_stats(
 }
 
 /// The cell's fleet-size envelope from its lowered schedules: units sum
-/// on their shared clock within a segment, segments weight by their spans.
-/// Fixed-fleet cells (`per_unit` empty) report the constant topology size.
-fn fleet_size_for(m_total: usize, per_unit: &[Vec<ElasticSchedule>], spans: &[f64]) -> FleetSize {
+/// on their shared clock within a segment, segments weight by their
+/// arrival spans. Fixed-fleet cells (`per_unit` empty) report the constant
+/// topology size.
+fn fleet_size_for(
+    m_total: usize,
+    per_unit: &[Vec<ElasticSchedule>],
+    streams: &[&[Job]],
+) -> FleetSize {
     if per_unit.is_empty() {
         return FleetSize::fixed(m_total);
     }
     let (mut min, mut max) = (usize::MAX, 0usize);
     let (mut weighted, mut total_span) = (0.0f64, 0.0f64);
-    for (i, &span) in spans.iter().enumerate() {
+    for (i, jobs) in streams.iter().enumerate() {
+        let span = jobs.last().map_or(0.0, |j| j.arrival.as_secs());
         let schedules: Vec<&ElasticSchedule> = per_unit.iter().map(|s| &s[i]).collect();
         let (lo, hi, mean) = combined_size_stats(&schedules, span);
         min = min.min(lo);
@@ -1203,15 +1205,6 @@ fn fleet_size_for(m_total: usize, per_unit: &[Vec<ElasticSchedule>], spans: &[f6
         max,
         mean: weighted / total_span,
     }
-}
-
-/// Per-segment arrival spans of an execution stream (0 for empty
-/// segments), the weights `fleet_size_for` aggregates over.
-fn segment_spans<'a>(segments: impl IntoIterator<Item = &'a [Job]>) -> Vec<f64> {
-    segments
-        .into_iter()
-        .map(|jobs| jobs.last().map_or(0.0, |j| j.arrival.as_secs()))
-        .collect()
 }
 
 /// Splits every segment of a multi-cluster cell's stream across its units:
@@ -1324,8 +1317,7 @@ fn run_cell(scenario: &Scenario, ctx: &RunContext) -> Result<CellRun, String> {
             })
             .collect(),
     };
-    let spans = segment_spans(streams.iter().copied());
-    let fleet_size = fleet_size_for(scenario.topology.servers(), &elastic, &spans);
+    let fleet_size = fleet_size_for(scenario.topology.servers(), &elastic, &streams);
     // A single-cluster unit takes the whole stream, borrowing the cached
     // traces; shards take their routed share.
     let unit_traces = match scenario.topology.router() {
