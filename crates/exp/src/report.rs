@@ -343,12 +343,8 @@ impl BenchReport {
         serde_json::to_string_pretty(self).expect("bench report serializes")
     }
 
-    /// Folds another run's rows into this artifact: cells with a matching
-    /// id are replaced in place, new cells append in order, and the other
-    /// run's expectation verdicts append. The suite-level wall-clock
-    /// aggregates keep describing this report's own run, which ran in a
-    /// different process than the merged rows.
-    pub fn merge(&mut self, other: BenchReport) {
+    /// The in-memory half of [`BenchReport::merge_into_file`].
+    fn merge(&mut self, other: BenchReport) {
         for cell in other.cells {
             match self.cells.iter_mut().find(|c| c.id == cell.id) {
                 Some(existing) => *existing = cell,
@@ -359,7 +355,11 @@ impl BenchReport {
         self.expectations.extend(other.expectations);
     }
 
-    /// [`BenchReport::merge`]s `self` into the artifact at `path`, in place.
+    /// Merges this run's rows into the artifact at `path`, in place: cells
+    /// with a matching id are replaced, new cells append in order, and this
+    /// run's expectation verdicts append. The artifact's suite-level
+    /// wall-clock aggregates keep describing its own run, which ran in a
+    /// different process than the merged rows.
     ///
     /// # Errors
     ///

@@ -26,7 +26,7 @@
 //! bounds *everything up to and including* that cell — exactly the right
 //! shape for a memory gate, and the reason the cells must not run in
 //! parallel. The rows merge into the committed `BENCH_suite.json` via
-//! [`BenchReport::merge`], where `perf_gate` guards both jobs/s and
+//! [`BenchReport::merge_into_file`], where `perf_gate` guards both jobs/s and
 //! peak-RSS regressions.
 
 use crate::report::{peak_rss_bytes, BenchCell, BenchReport};

@@ -1818,7 +1818,7 @@ impl Scenario {
 
     /// Root seed of execution unit `k`: the cell seed when the cell's one
     /// cluster is the whole unit, [`Scenario::shard_seed`] otherwise.
-    pub fn unit_root(&self, unit: usize) -> u64 {
+    pub(crate) fn unit_root(&self, unit: usize) -> u64 {
         if self.topology.is_multi_cluster() {
             self.shard_seed(unit)
         } else {
