@@ -349,7 +349,8 @@ impl DrlAllocator {
 
     /// Pre-trains the autoencoder on explicit group-state rows (each of
     /// width `group_width`). Also called automatically once
-    /// `ae_pretrain_samples` rows have been observed online.
+    /// `ae_pretrain_samples` rows have been observed online while learning
+    /// is on; a frozen allocator collects nothing.
     pub fn pretrain_autoencoder(&mut self, rows: &Matrix) {
         let loss = self.qnet.pretrain_autoencoder(
             rows,
@@ -528,9 +529,9 @@ impl Allocator for DrlAllocator {
     fn select(&mut self, job: &Job, view: &ClusterView<'_>) -> ServerId {
         self.stats.decisions += 1;
         let state = self.encoder.encode(job, view);
-        self.maybe_collect_ae_sample(&state);
 
         if self.learning {
+            self.maybe_collect_ae_sample(&state);
             self.close_pending(&state, view);
             self.maybe_train();
         } else {
@@ -699,6 +700,7 @@ mod tests {
             RunLimit::unbounded(),
         );
         assert_eq!(alloc.stats().train_steps, 0);
+        assert!(!alloc.stats().autoencoder_trained);
     }
 
     #[test]
