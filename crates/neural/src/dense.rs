@@ -275,14 +275,11 @@ impl Dense {
         );
         // dz = dy * act'(pre, post)
         let mut dz = grad_out.clone();
-        for i in 0..dz.rows() {
-            let pre = cache.pre.row(i);
-            let post = cache.post.row(i);
-            let row = dz.row_mut(i);
-            for ((g, &p), &q) in row.iter_mut().zip(pre).zip(post) {
-                *g *= self.activation.derivative(p, q);
-            }
-        }
+        self.activation.scale_by_derivative(
+            dz.as_mut_slice(),
+            cache.pre.as_slice(),
+            cache.post.as_slice(),
+        );
         // The accumulating GEMM continues each gradient element's fused
         // product chain across calls, so N single-row accumulations and one
         // N-row accumulation land on identical bits (see `simd` module doc).
@@ -309,14 +306,11 @@ impl Dense {
         );
         // dz = dy * act'(pre, post)
         self.ws.dz.copy_from(grad_out);
-        for i in 0..self.ws.dz.rows() {
-            let pre = cache.pre.row(i);
-            let post = cache.post.row(i);
-            let row = self.ws.dz.row_mut(i);
-            for ((g, &p), &q) in row.iter_mut().zip(pre).zip(post) {
-                *g *= self.activation.derivative(p, q);
-            }
-        }
+        self.activation.scale_by_derivative(
+            self.ws.dz.as_mut_slice(),
+            cache.pre.as_slice(),
+            cache.post.as_slice(),
+        );
         self.grad_w.add_matmul_tn(&cache.input, &self.ws.dz);
         self.ws.dz.sum_rows_into(&mut self.ws.rowsum);
         self.grad_b.axpy(1.0, &self.ws.rowsum);

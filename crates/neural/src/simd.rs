@@ -30,8 +30,11 @@
 //!   AVX and FMA.
 //!
 //! All three run the same per-element chain, so which one a host picks
-//! never changes a result bit. The activation and Adam kernels have their
-//! own AVX2/AVX paths with scalar fallbacks.
+//! never changes a result bit. The activation kernels ([`elu_inplace`],
+//! [`sigmoid_inplace`], [`tanh_inplace`]) run sixteen lanes with masked
+//! tails on the AVX-512 tier and otherwise eight AVX2 lanes where the CPU
+//! has them; the Adam kernel has its own AVX path. Every one has a scalar
+//! fallback it matches bit for bit.
 
 use std::sync::OnceLock;
 
@@ -259,19 +262,25 @@ fn avx2_available() -> bool {
 }
 
 /// In-place ELU over a slice: `x` for `x ≥ 0`, `α(e^x - 1)` otherwise,
-/// with `e^x` the [`crate::fastmath::exp`] kernel. The AVX2 path runs the
-/// identical operation sequence eight lanes at a time, so scalar and
-/// vector results agree bit for bit.
+/// with `e^x` the [`crate::fastmath::exp`] kernel. The AVX-512 and AVX2
+/// paths run the identical operation sequence sixteen or eight lanes at a
+/// time, so scalar and vector results agree bit for bit. The AVX-512 path
+/// is taken on the GEMM kernels' AVX-512 tier and covers the tail with a
+/// masked chunk; the AVX2 path finishes its tail with the scalar kernel.
 #[inline]
 pub(crate) fn elu_inplace(xs: &mut [f32], alpha: f32) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if avx2_available() {
-            // SAFETY: AVX2 support was just verified at runtime.
-            unsafe { elu_inplace_avx2(xs, alpha) };
-            return;
-        }
+    match tier() {
+        // SAFETY: AVX-512F support was verified at runtime.
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx512 => unsafe { elu_inplace_avx512(xs, alpha) },
+        // SAFETY: AVX2 support was just verified at runtime.
+        #[cfg(target_arch = "x86_64")]
+        _ if avx2_available() => unsafe { elu_inplace_avx2(xs, alpha) },
+        _ => elu_inplace_scalar(xs, alpha),
     }
+}
+
+fn elu_inplace_scalar(xs: &mut [f32], alpha: f32) {
     for x in xs {
         if *x < 0.0 {
             *x = alpha * (crate::fastmath::exp(*x) - 1.0);
@@ -283,14 +292,18 @@ pub(crate) fn elu_inplace(xs: &mut [f32], alpha: f32) {
 /// scalar/vector bitwise agreement).
 #[inline]
 pub(crate) fn sigmoid_inplace(xs: &mut [f32]) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if avx2_available() {
-            // SAFETY: AVX2 support was just verified at runtime.
-            unsafe { sigmoid_inplace_avx2(xs) };
-            return;
-        }
+    match tier() {
+        // SAFETY: AVX-512F support was verified at runtime.
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx512 => unsafe { sigmoid_inplace_avx512(xs) },
+        // SAFETY: AVX2 support was just verified at runtime.
+        #[cfg(target_arch = "x86_64")]
+        _ if avx2_available() => unsafe { sigmoid_inplace_avx2(xs) },
+        _ => sigmoid_inplace_scalar(xs),
     }
+}
+
+fn sigmoid_inplace_scalar(xs: &mut [f32]) {
     for x in xs {
         *x = crate::fastmath::sigmoid(*x);
     }
@@ -300,14 +313,18 @@ pub(crate) fn sigmoid_inplace(xs: &mut [f32]) {
 /// bitwise agreement).
 #[inline]
 pub(crate) fn tanh_inplace(xs: &mut [f32]) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if avx2_available() {
-            // SAFETY: AVX2 support was just verified at runtime.
-            unsafe { tanh_inplace_avx2(xs) };
-            return;
-        }
+    match tier() {
+        // SAFETY: AVX-512F support was verified at runtime.
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx512 => unsafe { tanh_inplace_avx512(xs) },
+        // SAFETY: AVX2 support was just verified at runtime.
+        #[cfg(target_arch = "x86_64")]
+        _ if avx2_available() => unsafe { tanh_inplace_avx2(xs) },
+        _ => tanh_inplace_scalar(xs),
     }
+}
+
+fn tanh_inplace_scalar(xs: &mut [f32]) {
     for x in xs {
         *x = crate::fastmath::tanh(*x);
     }
@@ -453,6 +470,161 @@ unsafe fn tanh_inplace_avx2(xs: &mut [f32]) {
     for x in &mut xs[j..] {
         *x = crate::fastmath::tanh(*x);
     }
+}
+
+/// Sixteen-lane mirror of [`exp256`] (and so of
+/// [`crate::fastmath::exp`]): the same operations in the same order, each
+/// exactly rounded, so every lane is bitwise identical to the scalar
+/// kernel.
+///
+/// # Safety
+///
+/// Caller must ensure AVX-512F support.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn exp512(x: std::arch::x86_64::__m512) -> std::arch::x86_64::__m512 {
+    use std::arch::x86_64::*;
+    let magic = _mm512_set1_ps(12_582_912.0);
+    let x = _mm512_max_ps(
+        _mm512_set1_ps(-87.0),
+        _mm512_min_ps(_mm512_set1_ps(88.0), x),
+    );
+    let kf = _mm512_sub_ps(
+        _mm512_add_ps(
+            _mm512_mul_ps(x, _mm512_set1_ps(crate::fastmath::LOG2_E)),
+            magic,
+        ),
+        magic,
+    );
+    let r = _mm512_sub_ps(
+        _mm512_sub_ps(
+            x,
+            _mm512_mul_ps(kf, _mm512_set1_ps(crate::fastmath::LN2_HI)),
+        ),
+        _mm512_mul_ps(kf, _mm512_set1_ps(crate::fastmath::LN2_LO)),
+    );
+    let mut p = _mm512_mul_ps(r, _mm512_set1_ps(1.0 / 720.0));
+    p = _mm512_mul_ps(r, _mm512_add_ps(_mm512_set1_ps(1.0 / 120.0), p));
+    p = _mm512_mul_ps(r, _mm512_add_ps(_mm512_set1_ps(1.0 / 24.0), p));
+    p = _mm512_mul_ps(r, _mm512_add_ps(_mm512_set1_ps(1.0 / 6.0), p));
+    p = _mm512_mul_ps(r, _mm512_add_ps(_mm512_set1_ps(0.5), p));
+    p = _mm512_mul_ps(r, _mm512_add_ps(_mm512_set1_ps(1.0), p));
+    p = _mm512_add_ps(_mm512_set1_ps(1.0), p);
+    let k = _mm512_cvtps_epi32(kf);
+    let two_k = _mm512_castsi512_ps(_mm512_slli_epi32::<23>(_mm512_add_epi32(
+        k,
+        _mm512_set1_epi32(127),
+    )));
+    _mm512_mul_ps(two_k, p)
+}
+
+/// Replaces `xs` with `f` applied sixteen lanes at a time; the last chunk
+/// goes through a masked load and store, so masked-off lanes are neither
+/// read nor written and no element takes a scalar path.
+///
+/// # Safety
+///
+/// Caller must ensure AVX-512F support.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn map_avx512(
+    xs: &mut [f32],
+    f: impl Fn(std::arch::x86_64::__m512) -> std::arch::x86_64::__m512,
+) {
+    use std::arch::x86_64::*;
+    let n = xs.len();
+    let p = xs.as_mut_ptr();
+    let mut j = 0;
+    while j < n {
+        let m = if j + 16 <= n {
+            u16::MAX
+        } else {
+            tail_mask(n - j)
+        };
+        let y = f(_mm512_maskz_loadu_ps(m, p.add(j)));
+        _mm512_mask_storeu_ps(p.add(j), m, y);
+        j += 16;
+    }
+}
+
+/// `x` with its sign bit flipped (`_mm512_xor_ps` needs AVX-512DQ).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn negate512(x: std::arch::x86_64::__m512) -> std::arch::x86_64::__m512 {
+    use std::arch::x86_64::*;
+    _mm512_castsi512_ps(_mm512_xor_si512(
+        _mm512_castps_si512(x),
+        _mm512_set1_epi32(i32::MIN),
+    ))
+}
+
+/// # Safety
+///
+/// Caller must ensure AVX-512F support.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn elu_inplace_avx512(xs: &mut [f32], alpha: f32) {
+    use std::arch::x86_64::*;
+    let zero = _mm512_setzero_ps();
+    let one = _mm512_set1_ps(1.0);
+    let al = _mm512_set1_ps(alpha);
+    map_avx512(xs, |x| {
+        let neg = _mm512_mul_ps(al, _mm512_sub_ps(exp512(x), one));
+        // Replace exactly where the scalar `x < 0.0` holds (not NaN).
+        let below = _mm512_cmp_ps_mask::<_CMP_LT_OQ>(x, zero);
+        _mm512_mask_blend_ps(below, x, neg)
+    });
+}
+
+/// # Safety
+///
+/// Caller must ensure AVX-512F support.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn sigmoid_inplace_avx512(xs: &mut [f32]) {
+    use std::arch::x86_64::*;
+    let one = _mm512_set1_ps(1.0);
+    map_avx512(xs, |x| {
+        // 1 / (1 + exp(-x))
+        let e = exp512(negate512(x));
+        _mm512_div_ps(one, _mm512_add_ps(one, e))
+    });
+}
+
+/// # Safety
+///
+/// Caller must ensure AVX-512F support.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn tanh_inplace_avx512(xs: &mut [f32]) {
+    use std::arch::x86_64::*;
+    let one = _mm512_set1_ps(1.0);
+    let two = _mm512_set1_ps(2.0);
+    map_avx512(xs, |x| {
+        let ax = _mm512_abs_ps(x);
+        // The scalar kernel's `x > 0.0` sign test, NaN included.
+        let positive = _mm512_cmp_ps_mask::<_CMP_GT_OQ>(x, _mm512_setzero_ps());
+        // Polynomial branch (|x| < 0.625): x + x·z·P(z), z = x².
+        let z = _mm512_mul_ps(x, x);
+        let mut p = _mm512_add_ps(
+            _mm512_mul_ps(_mm512_set1_ps(-5.704_988_7e-3), z),
+            _mm512_set1_ps(2.063_908_8e-2),
+        );
+        p = _mm512_add_ps(_mm512_mul_ps(p, z), _mm512_set1_ps(-5.373_971_5e-2));
+        p = _mm512_add_ps(_mm512_mul_ps(p, z), _mm512_set1_ps(1.333_144_2e-1));
+        p = _mm512_add_ps(_mm512_mul_ps(p, z), _mm512_set1_ps(-3.333_328e-1));
+        p = _mm512_mul_ps(p, z);
+        let poly = _mm512_add_ps(_mm512_mul_ps(x, p), x);
+        // Exp branch: 1 - 2/(exp(2|x|) + 1), negated unless x > 0.
+        let t = exp512(_mm512_mul_ps(two, ax));
+        let ye = _mm512_sub_ps(one, _mm512_div_ps(two, _mm512_add_ps(t, one)));
+        let ye = _mm512_mask_blend_ps(positive, negate512(ye), ye);
+        // Saturation branch (|x| > 9): ±1.
+        let ys = _mm512_mask_blend_ps(positive, _mm512_set1_ps(-1.0), one);
+        let big = _mm512_cmp_ps_mask::<_CMP_GT_OQ>(ax, _mm512_set1_ps(9.0));
+        let small = _mm512_cmp_ps_mask::<_CMP_LT_OQ>(ax, _mm512_set1_ps(0.625));
+        _mm512_mask_blend_ps(small, _mm512_mask_blend_ps(big, ye, ys), poly)
+    });
 }
 
 /// AVX + FMA [`gemm_row`]: 64-wide then 32-wide YMM j-tiles, then one
@@ -1449,38 +1621,130 @@ mod tests {
         add_scaled(&mut [0.0], &[1.0, 2.0], 1.0);
     }
 
+    /// The activation kernels: the AVX-512 tier's, AVX2's, and the scalar
+    /// `fastmath` loops.
+    #[derive(Clone, Copy, Debug)]
+    enum ActKernel {
+        Avx512,
+        Avx2,
+        Scalar,
+    }
+
+    /// The activation kernels this host can run; the others are reported
+    /// as skipped.
+    fn host_activation_kernels(test: &str) -> Vec<ActKernel> {
+        #[cfg(target_arch = "x86_64")]
+        let supported = [Tier::Avx512.supported(), avx2_available(), true];
+        #[cfg(not(target_arch = "x86_64"))]
+        let supported = [false, false, true];
+        let all = [ActKernel::Avx512, ActKernel::Avx2, ActKernel::Scalar];
+        let mut run = Vec::new();
+        for (k, ok) in all.into_iter().zip(supported) {
+            if ok {
+                run.push(k);
+            } else {
+                eprintln!("{test}: activation kernel {k:?} not supported on this host, skipped");
+            }
+        }
+        run
+    }
+
+    fn elu_on(k: ActKernel, xs: &mut [f32], alpha: f32) {
+        match k {
+            // SAFETY: listed by `host_activation_kernels` only if supported.
+            #[cfg(target_arch = "x86_64")]
+            ActKernel::Avx512 => unsafe { elu_inplace_avx512(xs, alpha) },
+            // SAFETY: listed by `host_activation_kernels` only if supported.
+            #[cfg(target_arch = "x86_64")]
+            ActKernel::Avx2 => unsafe { elu_inplace_avx2(xs, alpha) },
+            _ => elu_inplace_scalar(xs, alpha),
+        }
+    }
+
+    fn sigmoid_on(k: ActKernel, xs: &mut [f32]) {
+        match k {
+            // SAFETY: listed by `host_activation_kernels` only if supported.
+            #[cfg(target_arch = "x86_64")]
+            ActKernel::Avx512 => unsafe { sigmoid_inplace_avx512(xs) },
+            // SAFETY: listed by `host_activation_kernels` only if supported.
+            #[cfg(target_arch = "x86_64")]
+            ActKernel::Avx2 => unsafe { sigmoid_inplace_avx2(xs) },
+            _ => sigmoid_inplace_scalar(xs),
+        }
+    }
+
+    fn tanh_on(k: ActKernel, xs: &mut [f32]) {
+        match k {
+            // SAFETY: listed by `host_activation_kernels` only if supported.
+            #[cfg(target_arch = "x86_64")]
+            ActKernel::Avx512 => unsafe { tanh_inplace_avx512(xs) },
+            // SAFETY: listed by `host_activation_kernels` only if supported.
+            #[cfg(target_arch = "x86_64")]
+            ActKernel::Avx2 => unsafe { tanh_inplace_avx2(xs) },
+            _ => tanh_inplace_scalar(xs),
+        }
+    }
+
     #[test]
     fn activation_kernels_match_scalar_bitwise_for_all_remainder_lengths() {
-        // Lengths straddle the 8-lane width so both the vector body and the
-        // scalar tail are exercised; values cover every tanh branch
-        // (polynomial, exp formulation, saturation) and the ELU sign split.
-        for n in 0..40usize {
-            let base: Vec<f32> = (0..n)
-                .map(|i| (i as f32 - 17.0) * 0.61 + if i % 3 == 0 { 0.013 } else { -0.27 })
-                .collect();
-            let mut elu_fast = base.clone();
-            elu_inplace(&mut elu_fast, 1.0);
-            let mut sig_fast = base.clone();
-            sigmoid_inplace(&mut sig_fast);
-            let mut tanh_fast = base.clone();
-            tanh_inplace(&mut tanh_fast);
-            for (i, &x) in base.iter().enumerate() {
-                let elu_ref = if x < 0.0 {
-                    crate::fastmath::exp(x) - 1.0
-                } else {
-                    x
-                };
-                assert_eq!(elu_fast[i].to_bits(), elu_ref.to_bits(), "elu n={n} i={i}");
-                assert_eq!(
-                    sig_fast[i].to_bits(),
-                    crate::fastmath::sigmoid(x).to_bits(),
-                    "sigmoid n={n} i={i}"
-                );
-                assert_eq!(
-                    tanh_fast[i].to_bits(),
-                    crate::fastmath::tanh(x).to_bits(),
-                    "tanh n={n} i={i}"
-                );
+        // Every kernel the host runs, against the element-wise `fastmath`
+        // functions, on every slice length from 1 to 40 (each tail length
+        // of the 8- and 16-lane bodies). The pool puts every branch edge —
+        // ±0, ±0.625 (tanh polynomial/exp split), ±9 (tanh saturation),
+        // the exp clamps -87 and 88, and huge |x| — into every lane
+        // position, between ordinary values in [-12, 12).
+        let mut pool: Vec<f32> = vec![
+            0.0,
+            -0.0,
+            0.625,
+            -0.625,
+            0.625f32.next_down(),
+            -(0.625f32.next_down()),
+            9.0,
+            -9.0,
+            9.0f32.next_up(),
+            -(9.0f32.next_up()),
+            -87.0,
+            -87.5,
+            88.0,
+            88.5,
+            1.0e9,
+            -1.0e9,
+            f32::MAX,
+            f32::MIN,
+            1.0e-30,
+            -1.0e-30,
+        ];
+        pool.extend(data(60, 7, 0).iter().map(|x| 6.0 * x));
+        for k in host_activation_kernels("activation_kernels_match_scalar_bitwise") {
+            for n in 1..=40usize {
+                for shift in 0..pool.len() {
+                    let base: Vec<f32> = (0..n).map(|i| pool[(i + shift) % pool.len()]).collect();
+                    for alpha in [1.0, 0.7] {
+                        let mut elu = base.clone();
+                        elu_on(k, &mut elu, alpha);
+                        let want: Vec<f32> = base
+                            .iter()
+                            .map(|&x| {
+                                if x < 0.0 {
+                                    alpha * (crate::fastmath::exp(x) - 1.0)
+                                } else {
+                                    x
+                                }
+                            })
+                            .collect();
+                        assert_bits_eq(&elu, &want, &format!("{k:?} elu({alpha}) n={n}"));
+                    }
+                    let mut sig = base.clone();
+                    sigmoid_on(k, &mut sig);
+                    let want: Vec<f32> =
+                        base.iter().map(|&x| crate::fastmath::sigmoid(x)).collect();
+                    assert_bits_eq(&sig, &want, &format!("{k:?} sigmoid n={n}"));
+                    let mut tanh = base.clone();
+                    tanh_on(k, &mut tanh);
+                    let want: Vec<f32> = base.iter().map(|&x| crate::fastmath::tanh(x)).collect();
+                    assert_bits_eq(&tanh, &want, &format!("{k:?} tanh n={n}"));
+                }
             }
         }
     }
