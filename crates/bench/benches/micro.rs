@@ -3,13 +3,13 @@
 //! - `dqn_inference`: one global-tier decision's DNN work (`q_values` over
 //!   all servers) — the paper argues online complexity is low because it is
 //!   proportional to the number of actions;
-//! - `dqn_train_batch`: one minibatch DNN update;
+//! - `dqn_train_batch`: one minibatch DNN update over pre-encoded states;
 //! - `lstm_predict` / `lstm_train_step`: the local tier's predictor;
 //! - `simulator_throughput`: event-loop speed with non-learning policies;
 //! - `matmul`: the neural substrate's kernel.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use hierdrl_core::dqn::{GroupedQNetwork, QNetworkConfig, QSample};
+use hierdrl_core::dqn::{EncodedState, GroupedQNetwork, QNetworkConfig, QSample};
 use hierdrl_core::predictor::{IatPredictor, LstmIatPredictor, PredictorConfig};
 use hierdrl_core::state::{GlobalState, StateEncoder, StateEncoderConfig};
 use hierdrl_neural::matrix::Matrix;
@@ -48,9 +48,14 @@ fn bench_dqn(c: &mut Criterion) {
         b.iter(|| black_box(net.q_values(black_box(&state))))
     });
 
-    let samples: Vec<QSample> = (0..32)
-        .map(|i| QSample {
-            state: random_state(&layout, &mut rng),
+    let states: Vec<EncodedState> = (0..32)
+        .map(|_| net.encode(random_state(&layout, &mut rng)))
+        .collect();
+    let samples: Vec<QSample> = states
+        .iter()
+        .enumerate()
+        .map(|(i, state)| QSample {
+            state,
             action: i % 30,
             target: -1.0,
         })

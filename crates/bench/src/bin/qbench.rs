@@ -2,8 +2,11 @@
 //! (one global-tier decision) and `train_batch` (one minibatch update) at
 //! the CI smoke sizes M ∈ {10, 14} and at M = 30 (the paper's Table I fleet
 //! size), next to the retained unbatched reference implementations so the
-//! batching speedup stays measurable. The GEMM kernel tier this CPU
-//! dispatches to is printed first.
+//! batching speedup stays measurable. `q_values_batched` encodes its state
+//! on every call, as a decision does; the target sweep and the batched
+//! training step read codes stored with their encoded states, as the
+//! allocator's replay does. The GEMM kernel tier this CPU dispatches to is
+//! printed first.
 //!
 //! Runs through the criterion shim's wall-clock harness as a plain binary
 //! so CI can exercise the batched path on every PR:
@@ -14,7 +17,7 @@
 //! ```
 
 use criterion::Criterion;
-use hierdrl_core::dqn::{GroupedQNetwork, QNetworkConfig, QSample};
+use hierdrl_core::dqn::{EncodedState, GroupedQNetwork, QNetworkConfig, QSample};
 use hierdrl_core::state::{GlobalState, StateEncoder, StateEncoderConfig};
 use hierdrl_exp::cli::SweepArgs;
 use rand::rngs::StdRng;
@@ -43,13 +46,17 @@ fn bench_m(c: &mut Criterion, m: usize, minibatch: usize, quick: bool) {
     let lay = layout(m);
     let mut net = GroupedQNetwork::new(&lay, QNetworkConfig::default(), &mut rng);
     let state = random_state(&lay, &mut rng);
-    let states: Vec<GlobalState> = (0..2 * minibatch)
-        .map(|_| random_state(&lay, &mut rng))
+    let states: Vec<EncodedState> = (0..2 * minibatch)
+        .map(|_| net.encode(random_state(&lay, &mut rng)))
         .collect();
-    let state_refs: Vec<&GlobalState> = states.iter().collect();
-    let samples: Vec<QSample> = (0..minibatch)
-        .map(|_| QSample {
-            state: random_state(&lay, &mut rng),
+    let state_refs: Vec<&EncodedState> = states.iter().collect();
+    let sample_states: Vec<EncodedState> = (0..minibatch)
+        .map(|_| net.encode(random_state(&lay, &mut rng)))
+        .collect();
+    let samples: Vec<QSample> = sample_states
+        .iter()
+        .map(|state| QSample {
+            state,
             action: rng.gen_range(0..m),
             target: rng.gen_range(-5.0..0.0),
         })

@@ -7,7 +7,7 @@
 //! weight-shared, autoencoder-compressed DNN of [`crate::dqn`]; transitions
 //! are replayed from an experience memory (Algorithm 1).
 
-use crate::dqn::{GroupedQNetwork, QNetworkConfig, QSample};
+use crate::dqn::{EncodedState, GroupedQNetwork, QNetworkConfig, QSample};
 use crate::reward::{reward_rate_between, RewardWeights};
 use crate::state::{GlobalState, StateEncoder, StateEncoderConfig};
 use hierdrl_neural::matrix::Matrix;
@@ -21,6 +21,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::cell::Cell;
+use std::rc::Rc;
 
 /// Full configuration of the DRL allocator.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -173,7 +174,7 @@ pub struct DrlStats {
 
 #[derive(Debug)]
 struct Pending {
-    state: GlobalState,
+    state: Rc<EncodedState>,
     action: usize,
     time_s: f64,
     totals: ClusterTotals,
@@ -182,13 +183,20 @@ struct Pending {
 /// A raw state transition, exactly what Algorithm 1 (line 10) stores in the
 /// experience memory: `(s_k, a_k, r_k, s_{k+1})` plus the sojourn time the
 /// continuous-time update needs.
+///
+/// States are shared, not copied: each decision encodes its state once, and
+/// the one [`EncodedState`] serves as `next_state` of the transition that
+/// decision closes and as `state` of the one it opens. Its codes are reused
+/// by every network whose encoder generation matches theirs (the online net
+/// until the encoder changes, the target net after a sync) and recomputed by
+/// any other.
 #[derive(Debug, Clone)]
 struct Transition {
-    state: GlobalState,
+    state: Rc<EncodedState>,
     action: usize,
     reward_rate: f64,
     sojourn: f64,
-    next_state: GlobalState,
+    next_state: Rc<EncodedState>,
     /// Target-network evaluations memoized per target-net era (see
     /// [`TargetCache`]). Interior mutability because the replay memory
     /// hands out shared references at sampling time.
@@ -377,7 +385,7 @@ impl DrlAllocator {
         }
     }
 
-    fn close_pending(&mut self, next_state: &GlobalState, view: &ClusterView<'_>) {
+    fn close_pending(&mut self, next_state: &Rc<EncodedState>, view: &ClusterView<'_>) {
         let Some(p) = self.pending.take() else {
             return;
         };
@@ -400,7 +408,7 @@ impl DrlAllocator {
             action: p.action,
             reward_rate,
             sojourn: tau,
-            next_state: next_state.clone(),
+            next_state: Rc::clone(next_state),
             cache: Cell::new(None),
         });
     }
@@ -446,9 +454,8 @@ impl DrlAllocator {
         {
             return;
         }
-        // Sample by reference — only each transition's `state` needs an
-        // owned copy (for its QSample); cloning whole transitions would
-        // deep-copy every next-state for nothing.
+        // Sample by reference: the minibatch borrows each transition's
+        // encoded state, so nothing is copied.
         let transitions: Vec<&Transition> =
             self.replay.sample(self.config.minibatch, &mut self.rng);
         // Fresh SMDP targets from the frozen target network (Eqn. 2 with
@@ -460,7 +467,8 @@ impl DrlAllocator {
         // cache misses go through the network. One batched sweep per role
         // over the misses: all next-states in one GEMM pair (the max needs
         // every action), all previous states in another that only evaluates
-        // the taken action's Sub-Q row. Each miss is encoded exactly once,
+        // the taken action's Sub-Q row. The sweeps reuse the states' stored
+        // codes when the target net's encoder generation matches theirs,
         // and every value — cached or fresh — is bitwise identical to a
         // per-transition `q_values`/`max_q` sweep (row independence).
         let era = self.target_era;
@@ -472,12 +480,14 @@ impl DrlAllocator {
             })
             .map(|(i, _)| i)
             .collect();
-        let next_states: Vec<&GlobalState> =
-            misses.iter().map(|&i| &transitions[i].next_state).collect();
-        let next_q = self.target_net.q_values_batch(&next_states);
-        let prev_items: Vec<(&GlobalState, usize)> = misses
+        let next_states: Vec<&EncodedState> = misses
             .iter()
-            .map(|&i| (&transitions[i].state, transitions[i].action))
+            .map(|&i| &*transitions[i].next_state)
+            .collect();
+        let next_q = self.target_net.q_values_batch(&next_states);
+        let prev_items: Vec<(&EncodedState, usize)> = misses
+            .iter()
+            .map(|&i| (&*transitions[i].state, transitions[i].action))
             .collect();
         let prev_q = self.target_net.q_action_batch(&prev_items);
         for ((&i, nq), prev) in misses.iter().zip(&next_q).zip(prev_q) {
@@ -501,7 +511,7 @@ impl DrlAllocator {
                 let prev = f64::from(cached.prev);
                 let blended = prev + self.config.smdp.alpha * (raw - prev);
                 QSample {
-                    state: t.state.clone(),
+                    state: &t.state,
                     action: t.action,
                     target: blended.clamp(-self.config.q_clamp, 0.0) as f32,
                 }
@@ -528,17 +538,21 @@ impl DrlAllocator {
 impl Allocator for DrlAllocator {
     fn select(&mut self, job: &Job, view: &ClusterView<'_>) -> ServerId {
         self.stats.decisions += 1;
-        let state = self.encoder.encode(job, view);
-
-        if self.learning {
-            self.maybe_collect_ae_sample(&state);
+        let raw = self.encoder.encode(job, view);
+        let (q, state) = if self.learning {
+            self.maybe_collect_ae_sample(&raw);
+            // Encoded after any autoencoder pre-training, so the forward
+            // below reuses these codes unless fine-tuning moved the encoder.
+            let state = Rc::new(self.qnet.encode(raw));
             self.close_pending(&state, view);
             self.maybe_train();
+            (self.qnet.q_values_batch(&[&state]).remove(0), Some(state))
         } else {
+            // Frozen: nothing is stored, so the state is not shared.
             self.pending = None;
-        }
-
-        let q = self.qnet.q_values(&state);
+            let state = self.qnet.encode(raw);
+            (self.qnet.q_values_batch(&[&state]).remove(0), None)
+        };
         let dither = self.config.q_dither;
         // Elastic fleets: actions are masked to the slots that exist right
         // now — a view narrower than the declared width means trailing
@@ -563,7 +577,7 @@ impl Allocator for DrlAllocator {
             self.policy.select(&q64, &mut self.rng)
         };
 
-        if self.learning {
+        if let Some(state) = state {
             self.pending = Some(Pending {
                 state,
                 action,
@@ -783,12 +797,50 @@ mod tests {
             if c.era != era {
                 continue;
             }
-            let q = alloc.target_net.q_values(&t.next_state);
+            // Fresh: re-encoded through the target net, not stored codes.
+            let q = alloc.target_net.q_values(t.next_state.state());
             assert_eq!(c.max_next, GroupedQNetwork::max_q_of(&q, 5));
-            let prev = alloc.target_net.q_action_batch(&[(&t.state, t.action)])[0];
+            let state = alloc.target_net.encode(t.state.state().clone());
+            let prev = alloc.target_net.q_action_batch(&[(&state, t.action)])[0];
             assert_eq!(c.prev, prev);
             checked += 1;
         }
         assert!(checked > 0, "no current-era cache entries to verify");
+    }
+
+    #[test]
+    fn encoded_codes_match_fresh_encoding() {
+        // The sharing invariant: every replayed state's stored codes equal
+        // a fresh encode through a network of the same generation, so
+        // reusing them is invisible. target_sync is small so the target
+        // net has synced past the autoencoder pre-training.
+        let mut config = small_config();
+        config.target_sync = 25;
+        let mut alloc = DrlAllocator::new(5, 3, config);
+        let mut cluster = Cluster::new(ClusterConfig::paper(5), jobs(300, 10.0)).unwrap();
+        cluster.run(
+            &mut alloc,
+            &mut SleepImmediatelyPower,
+            RunLimit::unbounded(),
+        );
+        assert_eq!(
+            alloc.qnet.encoder_generation(),
+            alloc.target_net.encoder_generation(),
+            "the target net never synced past the pre-training"
+        );
+        let mut checked = 0usize;
+        for t in alloc.replay.iter() {
+            for s in [&t.state, &t.next_state] {
+                if s.generation() != alloc.qnet.encoder_generation() {
+                    continue; // encoded before the pre-training
+                }
+                let fresh = alloc.qnet.encode(s.state().clone());
+                let bits =
+                    |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(fresh.codes()), bits(s.codes()));
+                checked += 1;
+            }
+        }
+        assert!(checked > 0, "no current-generation states to verify");
     }
 }

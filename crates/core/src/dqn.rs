@@ -9,6 +9,19 @@
 //! shared by all `K` autoencoder applications and one by all `K` Sub-Q
 //! applications; gradients from every application accumulate into the
 //! shared weights (the crate's cache-stack layers make this exact).
+//!
+//! Each decision state is encoded once. [`GroupedQNetwork::encode`] pairs
+//! a [`GlobalState`] with its `K` codes and the [`EncoderGeneration`] they
+//! were computed under, and the batched entry points
+//! ([`GroupedQNetwork::q_values_batch`], [`GroupedQNetwork::q_action_batch`],
+//! [`GroupedQNetwork::train_batch`]) take such [`EncodedState`]s. They use
+//! the stored codes when the generation matches their own and re-encode
+//! only the stale states. The generation changes whenever the encoder's
+//! weights do (autoencoder pre-training, every fine-tuning step) and is
+//! copied by `clone`, so a target network keeps the generation of its last
+//! sync and a matching generation means bit-identical encoder weights. The
+//! encoder kernels are row-independent, so a stored code equals the code a
+//! fresh sweep would compute, bit for bit, and reusing it changes nothing.
 
 use crate::state::{GlobalState, StateEncoder};
 use hierdrl_neural::activation::Activation;
@@ -20,6 +33,7 @@ use hierdrl_neural::optim::{clip_grad_norm, Adam, Optimizer, Trainable};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Hyper-parameters of the grouped Q-network.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -52,11 +66,65 @@ impl Default for QNetworkConfig {
     }
 }
 
-/// A training sample: fit `Q(state, action)` to `target`.
+/// Identifies the encoder weights a set of codes was computed under.
+///
+/// Every value is drawn once from a process-wide counter: when a network
+/// is built or deserialized and whenever its encoder's weights change.
+/// `clone` copies it. Two networks therefore share a generation only when
+/// one is a clone of the other and neither encoder has changed since,
+/// which is exactly when their encoders are bit-identical.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EncoderGeneration(u64);
+
+impl EncoderGeneration {
+    fn next() -> Self {
+        // Only uniqueness matters, which `fetch_add` gives under any
+        // ordering; the value publishes no other data.
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        Self(NEXT.fetch_add(1, Ordering::Relaxed))
+    }
+}
+
+impl Default for EncoderGeneration {
+    /// A generation no existing network has.
+    fn default() -> Self {
+        Self::next()
+    }
+}
+
+/// A decision state with its `K` autoencoder codes (one row per group) and
+/// the encoder generation they were computed under; built by
+/// [`GroupedQNetwork::encode`].
 #[derive(Debug, Clone)]
-pub struct QSample {
+pub struct EncodedState {
+    state: GlobalState,
+    codes: Matrix,
+    generation: EncoderGeneration,
+}
+
+impl EncodedState {
+    /// The raw state.
+    pub fn state(&self) -> &GlobalState {
+        &self.state
+    }
+
+    /// The codes, `K x code_size`, row `k` encoding group `k`.
+    pub fn codes(&self) -> &Matrix {
+        &self.codes
+    }
+
+    /// The encoder generation the codes were computed under.
+    pub fn generation(&self) -> EncoderGeneration {
+        self.generation
+    }
+}
+
+/// A training sample: fit `Q(state, action)` to `target`. Borrows its
+/// state, so a minibatch drawn from replay copies no state.
+#[derive(Debug, Clone, Copy)]
+pub struct QSample<'a> {
     /// Encoded global state.
-    pub state: GlobalState,
+    pub state: &'a EncodedState,
     /// Global action index (server index).
     pub action: usize,
     /// Target Q value (from the SMDP update rule).
@@ -64,13 +132,15 @@ pub struct QSample {
 }
 
 /// Reusable per-step buffers for the batched inference/training hot path:
-/// the stacked group rows fed to the shared encoder, the resulting codes,
-/// the assembled Sub-Q input rows, and the ping-pong activation scratch.
+/// the stacked group rows of stale states fed to the shared encoder, their
+/// fresh codes, every state's codes gathered in batch order, the assembled
+/// Sub-Q input rows, and the ping-pong activation scratch.
 /// Purely a memory-reuse device — every value is fully overwritten before
 /// use, so results never depend on the buffers' previous contents.
 #[derive(Debug, Clone, Default)]
 struct QWorkspace {
     group_rows: Matrix,
+    fresh_codes: Matrix,
     codes: Matrix,
     inputs: Matrix,
     q: Matrix,
@@ -91,6 +161,9 @@ pub struct GroupedQNetwork {
     group_size: usize,
     group_width: usize,
     job_width: usize,
+    /// Not serialized: a deserialized network draws a new generation.
+    #[serde(skip)]
+    generation: EncoderGeneration,
     #[serde(skip)]
     workspace: RefCell<QWorkspace>,
 }
@@ -123,6 +196,7 @@ impl GroupedQNetwork {
             group_size: layout.group_size(),
             group_width,
             job_width,
+            generation: EncoderGeneration::next(),
             workspace: RefCell::new(QWorkspace::default()),
         }
     }
@@ -156,6 +230,23 @@ impl GroupedQNetwork {
         &self.autoencoder
     }
 
+    /// The generation of the encoder's current weights.
+    pub fn encoder_generation(&self) -> EncoderGeneration {
+        self.generation
+    }
+
+    /// Encodes every group of `state` through the shared encoder, once, for
+    /// any number of later Q evaluations and training steps.
+    pub fn encode(&self, state: GlobalState) -> EncodedState {
+        let ws = &mut *self.workspace.borrow_mut();
+        self.encode_groups(&[&state], ws);
+        EncodedState {
+            state,
+            codes: ws.fresh_codes.clone(),
+            generation: self.generation,
+        }
+    }
+
     /// Encodes every group state into its low-dimensional code.
     fn codes(&self, s: &GlobalState) -> Vec<Matrix> {
         (0..self.num_groups)
@@ -177,8 +268,8 @@ impl GroupedQNetwork {
     }
 
     /// Stacks every group row of `states` (state-major, group-minor) into
-    /// `group_rows` and runs one shared-encoder sweep into `codes`.
-    fn encode_all_groups(&self, states: &[&GlobalState], ws: &mut QWorkspace) {
+    /// `group_rows` and runs one shared-encoder sweep into `fresh_codes`.
+    fn encode_groups(&self, states: &[&GlobalState], ws: &mut QWorkspace) {
         let k = self.num_groups;
         ws.group_rows.resize_to(states.len() * k, self.group_width);
         for (i, s) in states.iter().enumerate() {
@@ -189,7 +280,38 @@ impl GroupedQNetwork {
             }
         }
         self.autoencoder
-            .encode_into(&ws.group_rows, &mut ws.codes, &mut ws.scratch);
+            .encode_into(&ws.group_rows, &mut ws.fresh_codes, &mut ws.scratch);
+    }
+
+    /// Gathers every state's `K` codes into rows `i*K..(i+1)*K` of
+    /// `codes`: stored codes where the state's generation is this
+    /// network's, otherwise from one shared-encoder sweep over the stale
+    /// states only.
+    fn gather_codes(&self, states: &[&EncodedState], ws: &mut QWorkspace) {
+        let k = self.num_groups;
+        let stale: Vec<&GlobalState> = states
+            .iter()
+            .filter(|s| s.generation != self.generation)
+            .map(|s| &s.state)
+            .collect();
+        if !stale.is_empty() {
+            self.encode_groups(&stale, ws);
+        }
+        ws.codes.resize_to(states.len() * k, self.config.code_size);
+        let mut next_fresh = 0;
+        for (i, s) in states.iter().enumerate() {
+            let (src, base) = if s.generation == self.generation {
+                (&s.codes, 0)
+            } else {
+                next_fresh += k;
+                (&ws.fresh_codes, next_fresh - k)
+            };
+            for g in 0..k {
+                ws.codes
+                    .row_mut(i * k + g)
+                    .copy_from_slice(src.row(base + g));
+            }
+        }
     }
 
     /// Writes group `g`'s Sub-Q input row `[g_g | s_j | ḡ_{g'≠g}]` for the
@@ -216,31 +338,33 @@ impl GroupedQNetwork {
     }
 
     /// Q estimates for all `K * group_size` actions (padding slots
-    /// included; callers mask indices `>= M`).
+    /// included; callers mask indices `>= M`). Encodes `s`, then runs
+    /// [`GroupedQNetwork::q_values_batch`].
     pub fn q_values(&self, s: &GlobalState) -> Vec<f32> {
-        self.q_values_batch(&[s])
+        self.q_values_batch(&[&self.encode(s.clone())])
             .pop()
             .expect("one state in, one Q vector out")
     }
 
-    /// Q estimates for every state in `states`, batched: one shared-encoder
-    /// GEMM over all `B * K` group rows and one Sub-Q GEMM over all `B * K`
-    /// input rows, instead of `B * 2K` single-row passes. Per-state results
-    /// are bitwise identical to [`GroupedQNetwork::q_values_reference`]
-    /// because every kernel in the neural substrate is row-independent with
-    /// in-order accumulation (see the batched-equivalence test suite).
-    pub fn q_values_batch(&self, states: &[&GlobalState]) -> Vec<Vec<f32>> {
+    /// Q estimates for every state in `states`, batched: the stored codes
+    /// of current-generation states, one shared-encoder GEMM over the group
+    /// rows of stale ones, and one Sub-Q GEMM over all `B * K` input rows,
+    /// instead of `B * 2K` single-row passes. Per-state results are bitwise
+    /// identical to [`GroupedQNetwork::q_values_reference`] because every
+    /// kernel in the neural substrate is row-independent with in-order
+    /// accumulation (see the batched-equivalence test suite).
+    pub fn q_values_batch(&self, states: &[&EncodedState]) -> Vec<Vec<f32>> {
         if states.is_empty() {
             return Vec::new();
         }
         let k = self.num_groups;
         let ws = &mut *self.workspace.borrow_mut();
-        self.encode_all_groups(states, ws);
+        self.gather_codes(states, ws);
         ws.inputs.resize_to(states.len() * k, self.input_width());
         for (i, s) in states.iter().enumerate() {
             for g in 0..k {
                 let (inputs, codes) = (&mut ws.inputs, &ws.codes);
-                self.fill_sub_q_row(inputs.row_mut(i * k + g), s, g, codes, i * k);
+                self.fill_sub_q_row(inputs.row_mut(i * k + g), &s.state, g, codes, i * k);
             }
         }
         // Rows are (state, group)-major, so each state's K output rows
@@ -268,20 +392,20 @@ impl GroupedQNetwork {
     /// # Panics
     ///
     /// Panics if an action index is out of range.
-    pub fn q_action_batch(&self, items: &[(&GlobalState, usize)]) -> Vec<f32> {
+    pub fn q_action_batch(&self, items: &[(&EncodedState, usize)]) -> Vec<f32> {
         if items.is_empty() {
             return Vec::new();
         }
         let k = self.num_groups;
         let ws = &mut *self.workspace.borrow_mut();
-        let states: Vec<&GlobalState> = items.iter().map(|(s, _)| *s).collect();
-        self.encode_all_groups(&states, ws);
+        let states: Vec<&EncodedState> = items.iter().map(|(s, _)| *s).collect();
+        self.gather_codes(&states, ws);
         ws.inputs.resize_to(items.len(), self.input_width());
         for (i, (s, action)) in items.iter().enumerate() {
             assert!(*action < self.num_actions(), "action {action} out of range");
             let g = action / self.group_size;
             let (inputs, codes) = (&mut ws.inputs, &ws.codes);
-            self.fill_sub_q_row(inputs.row_mut(i), s, g, codes, i * k);
+            self.fill_sub_q_row(inputs.row_mut(i), &s.state, g, codes, i * k);
         }
         self.sub_q
             .infer_into(&ws.inputs, &mut ws.q, &mut ws.scratch);
@@ -341,7 +465,7 @@ impl GroupedQNetwork {
 
     /// Pre-trains the shared autoencoder on observed group states
     /// (rows = samples of width `group_width`), returning the final epoch's
-    /// reconstruction loss.
+    /// reconstruction loss. Starts a new encoder generation.
     ///
     /// # Panics
     ///
@@ -360,6 +484,7 @@ impl GroupedQNetwork {
             self.group_width
         );
         let mut adam = Adam::new(learning_rate);
+        self.generation = EncoderGeneration::next();
         self.autoencoder
             .fit(group_states, epochs, batch_size, &mut adam)
     }
@@ -369,14 +494,18 @@ impl GroupedQNetwork {
     /// gradient norm, and applies Adam. Returns the mean squared error.
     ///
     /// With the (default) frozen encoder the whole minibatch runs as one
-    /// shared-encoder GEMM plus one Sub-Q forward/backward, with the
+    /// Sub-Q forward/backward over the samples' stored codes (one
+    /// shared-encoder GEMM re-encodes any stale states), with the
     /// per-sample error scattered into the batched output gradient —
     /// bitwise identical to [`GroupedQNetwork::train_batch_reference`].
+    /// Fine-tuning back-propagates through a per-sample encoder forward
+    /// instead, ignores the stored codes, and starts a new encoder
+    /// generation.
     ///
     /// # Panics
     ///
     /// Panics if the batch is empty or an action index is out of range.
-    pub fn train_batch(&mut self, samples: &[QSample]) -> f32 {
+    pub fn train_batch(&mut self, samples: &[QSample<'_>]) -> f32 {
         self.check_batch(samples);
         self.sub_q.zero_grad();
         self.autoencoder.zero_grad();
@@ -394,20 +523,21 @@ impl GroupedQNetwork {
             };
             clip_grad_norm(&mut joint, self.config.grad_clip);
             self.adam.step(&mut joint);
+            self.generation = EncoderGeneration::next();
         } else {
             // Frozen encoder: one batched forward/backward over the whole
             // minibatch, rows in sample order, entirely through recycled
             // workspace buffers (encoder codes, Sub-Q inputs and caches,
             // the scattered output gradient).
             let ws = &mut *self.workspace.borrow_mut();
-            let states: Vec<&GlobalState> = samples.iter().map(|s| &s.state).collect();
-            self.encode_all_groups(&states, ws);
+            let states: Vec<&EncodedState> = samples.iter().map(|s| s.state).collect();
+            self.gather_codes(&states, ws);
             ws.inputs.resize_to(samples.len(), self.input_width());
             let k = self.num_groups;
             for (i, s) in samples.iter().enumerate() {
                 let g = s.action / self.group_size;
                 let (inputs, codes) = (&mut ws.inputs, &ws.codes);
-                self.fill_sub_q_row(inputs.row_mut(i), &s.state, g, codes, i * k);
+                self.fill_sub_q_row(inputs.row_mut(i), &s.state.state, g, codes, i * k);
             }
             let y = self.sub_q.forward_ws(&ws.inputs);
             ws.dy.resize_to(y.rows(), y.cols());
@@ -430,8 +560,8 @@ impl GroupedQNetwork {
     }
 
     /// The retained **unbatched** reference for [`GroupedQNetwork::train_batch`]
-    /// (frozen-encoder path): per-sample single-row encoder sweeps and
-    /// Sub-Q forward/backward passes, in sample order. Kept (test-only) so
+    /// (frozen-encoder path): per-sample single-row encoder sweeps (never
+    /// the stored codes) and Sub-Q forward/backward passes, in sample order. Kept (test-only) so
     /// the equivalence suite can assert the batched step leaves bitwise
     /// identical weights, optimizer state, and loss; production code never
     /// calls it. Delegates to [`GroupedQNetwork::train_batch`] when the
@@ -441,7 +571,7 @@ impl GroupedQNetwork {
     ///
     /// Panics if the batch is empty or an action index is out of range.
     #[doc(hidden)]
-    pub fn train_batch_reference(&mut self, samples: &[QSample]) -> f32 {
+    pub fn train_batch_reference(&mut self, samples: &[QSample<'_>]) -> f32 {
         if self.config.fine_tune_encoder {
             return self.train_batch(samples);
         }
@@ -453,8 +583,8 @@ impl GroupedQNetwork {
         for s in samples {
             let k = s.action / self.group_size;
             let slot = s.action % self.group_size;
-            let codes = self.codes(&s.state);
-            let x = self.sub_q_input(&s.state, k, &codes);
+            let codes = self.codes(&s.state.state);
+            let x = self.sub_q_input(&s.state.state, k, &codes);
             let y = self.sub_q.forward(&x);
             let err = y[(0, slot)] - s.target;
             loss += err * err;
@@ -472,7 +602,7 @@ impl GroupedQNetwork {
     }
 
     /// Validates a training minibatch.
-    fn check_batch(&self, samples: &[QSample]) {
+    fn check_batch(&self, samples: &[QSample<'_>]) {
         assert!(!samples.is_empty(), "training batch is empty");
         for s in samples {
             assert!(
@@ -485,7 +615,7 @@ impl GroupedQNetwork {
     }
 
     /// Forward/backward for one sample with encoder fine-tuning.
-    fn train_one_finetune(&mut self, s: &QSample, n: f32) -> f32 {
+    fn train_one_finetune(&mut self, s: &QSample<'_>, n: f32) -> f32 {
         let k = s.action / self.group_size;
         let slot = s.action % self.group_size;
         // Forward the encoder for every other group, caching (ascending k').
@@ -495,12 +625,12 @@ impl GroupedQNetwork {
                 let code = self
                     .autoencoder
                     .encoder_mut()
-                    .forward(&s.state.group_matrix(k2));
+                    .forward(&s.state.state.group_matrix(k2));
                 codes.push((k2, code));
             }
         }
-        let g_k = s.state.group_matrix(k);
-        let job = s.state.job_matrix();
+        let g_k = s.state.state.group_matrix(k);
+        let job = s.state.state.job_matrix();
         let mut parts: Vec<&Matrix> = vec![&g_k, &job];
         for (_, c) in &codes {
             parts.push(c);
@@ -617,9 +747,14 @@ mod tests {
             &mut rng,
         );
         // A handful of fixed states with fixed targets: loss must fall.
-        let samples: Vec<QSample> = (0..8)
-            .map(|i| QSample {
-                state: random_state(&lay, &mut rng),
+        let states: Vec<EncodedState> = (0..8)
+            .map(|_| net.encode(random_state(&lay, &mut rng)))
+            .collect();
+        let samples: Vec<QSample> = states
+            .iter()
+            .enumerate()
+            .map(|(i, state)| QSample {
+                state,
                 action: i % 8,
                 target: (i as f32 - 4.0) * 0.5,
             })
@@ -645,9 +780,14 @@ mod tests {
             },
             &mut rng,
         );
-        let samples: Vec<QSample> = (0..6)
-            .map(|i| QSample {
-                state: random_state(&lay, &mut rng),
+        let states: Vec<EncodedState> = (0..6)
+            .map(|_| net.encode(random_state(&lay, &mut rng)))
+            .collect();
+        let samples: Vec<QSample> = states
+            .iter()
+            .enumerate()
+            .map(|(i, state)| QSample {
+                state,
                 action: i,
                 target: 1.0,
             })
