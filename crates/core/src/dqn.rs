@@ -561,10 +561,10 @@ impl GroupedQNetwork {
 
     /// The retained **unbatched** reference for [`GroupedQNetwork::train_batch`]
     /// (frozen-encoder path): per-sample single-row encoder sweeps (never
-    /// the stored codes) and Sub-Q forward/backward passes, in sample order. Kept (test-only) so
-    /// the equivalence suite can assert the batched step leaves bitwise
-    /// identical weights, optimizer state, and loss; production code never
-    /// calls it. Delegates to [`GroupedQNetwork::train_batch`] when the
+    /// the stored codes) and Sub-Q forward/backward passes, in sample
+    /// order. Kept (test-only) so the equivalence suite can assert the
+    /// batched step leaves bitwise identical weights, optimizer state, and
+    /// loss; production code never calls it. Delegates to [`GroupedQNetwork::train_batch`] when the
     /// encoder is fine-tuned (that path is per-sample already).
     ///
     /// # Panics

@@ -127,9 +127,13 @@ fn max_q_agrees_with_reference_q_values() {
 }
 
 /// One training sample per state: a random real action and target.
-fn random_samples<'a>(states: &'a [EncodedState], m: usize, rng: &mut StdRng) -> Vec<QSample<'a>> {
+fn random_samples<'a>(
+    states: impl IntoIterator<Item = &'a EncodedState>,
+    m: usize,
+    rng: &mut StdRng,
+) -> Vec<QSample<'a>> {
     states
-        .iter()
+        .into_iter()
         .map(|state| QSample {
             state,
             action: rng.gen_range(0..m),
@@ -268,14 +272,7 @@ fn stale_generation_codes_are_re_encoded() {
                 "M={m} K={k} item {i}: stale codes leaked into q_action_batch"
             );
         }
-        let samples: Vec<QSample> = mixed
-            .iter()
-            .map(|state| QSample {
-                state,
-                action: rng.gen_range(0..m),
-                target: rng.gen_range(-5.0..0.0),
-            })
-            .collect();
+        let samples = random_samples(mixed.iter().copied(), m, &mut rng);
         let mut reference = net.clone();
         let loss_b = net.train_batch(&samples);
         let loss_r = reference.train_batch_reference(&samples);

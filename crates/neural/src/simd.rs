@@ -1688,7 +1688,7 @@ mod tests {
     #[test]
     fn activation_kernels_match_scalar_bitwise_for_all_remainder_lengths() {
         // Every kernel the host runs, against the element-wise `fastmath`
-        // functions, on every slice length from 1 to 40 (each tail length
+        // functions, on every slice length from 0 to 40 (each tail length
         // of the 8- and 16-lane bodies). The pool puts every branch edge —
         // ±0, ±0.625 (tanh polynomial/exp split), ±9 (tanh saturation),
         // the exp clamps -87 and 88, and huge |x| — into every lane
@@ -1717,7 +1717,7 @@ mod tests {
         ];
         pool.extend(data(60, 7, 0).iter().map(|x| 6.0 * x));
         for k in host_activation_kernels("activation_kernels_match_scalar_bitwise") {
-            for n in 1..=40usize {
+            for n in 0..=40usize {
                 for shift in 0..pool.len() {
                     let base: Vec<f32> = (0..n).map(|i| pool[(i + shift) % pool.len()]).collect();
                     for alpha in [1.0, 0.7] {
