@@ -8,6 +8,14 @@
 //! allocator's replay does. The GEMM kernel tier this CPU dispatches to is
 //! printed first.
 //!
+//! The local tier's LSTM inter-arrival predictor at the paper's size
+//! (look-back 35, 30 hidden units) is measured too, because the power
+//! manager trains it off the decision thread and the simulator's own
+//! timing no longer sees it: `lstm_observe_paper` is one online training
+//! observation on a full window, and `lstm_predict_paper` is one frozen
+//! observation (a window push) followed by the 35-step prediction it
+//! invalidates.
+//!
 //! Runs through the criterion shim's wall-clock harness as a plain binary
 //! so CI can exercise the batched path on every PR:
 //!
@@ -18,6 +26,7 @@
 
 use criterion::Criterion;
 use hierdrl_core::dqn::{EncodedState, GroupedQNetwork, QNetworkConfig, QSample};
+use hierdrl_core::predictor::{IatPredictor, LstmIatPredictor};
 use hierdrl_core::state::{GlobalState, StateEncoder, StateEncoderConfig};
 use hierdrl_exp::cli::SweepArgs;
 use rand::rngs::StdRng;
@@ -83,6 +92,29 @@ fn bench_m(c: &mut Criterion, m: usize, minibatch: usize, quick: bool) {
     group.finish();
 }
 
+fn bench_lstm(c: &mut Criterion, quick: bool) {
+    let mut rng = StdRng::seed_from_u64(35);
+    let gaps: Vec<f64> = (0..64).map(|_| rng.gen_range(1.0..3600.0)).collect();
+    let mut predictor = LstmIatPredictor::paper(&mut rng);
+    for &gap in &gaps {
+        predictor.observe(gap);
+    }
+    let mut group = c.benchmark_group("qbench_lstm");
+    group.sample_size(if quick { 10 } else { 50 });
+    let mut next = gaps.iter().copied().cycle();
+    group.bench_function("lstm_observe_paper", |b| {
+        b.iter(|| predictor.observe(black_box(next.next().expect("cycle"))))
+    });
+    predictor.set_online_training(false);
+    group.bench_function("lstm_predict_paper", |b| {
+        b.iter(|| {
+            predictor.observe(black_box(next.next().expect("cycle")));
+            black_box(predictor.predict())
+        })
+    });
+    group.finish();
+}
+
 fn main() {
     let args = SweepArgs::from_env();
     let minibatch = 32;
@@ -95,4 +127,5 @@ fn main() {
     for m in [10usize, 14, 30] {
         bench_m(&mut criterion, m, minibatch, args.quick);
     }
+    bench_lstm(&mut criterion, args.quick);
 }

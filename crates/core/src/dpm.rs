@@ -14,6 +14,33 @@
 //! the next, integrating the reward over the whole (possibly busy) sojourn
 //! — equivalent to the per-case update under forced transitions, with fewer
 //! bookkeeping states.
+//!
+//! # Who owns the predictors
+//!
+//! The per-server LSTM predictors learn independently of the global tier
+//! and of each other, so while they train online they are trained off the
+//! decision thread. The first training observation spawns one worker
+//! thread per manager; from then on [`PowerManager::on_job_arrival`] only
+//! sends `(server, gap)` down a channel, and the worker applies the gaps in
+//! send order. Every read of predictor state waits for the gaps sent
+//! before it (the FIFO read rule), so each predictor sees exactly the
+//! sequential call order and every simulated byte matches an inline run:
+//!
+//! - the prediction read in [`PowerManager::on_idle`] waits only when that
+//!   server's predictor has not yet applied every gap sent to it, and then
+//!   drains the whole queue;
+//! - [`RlPowerManager::predictor_observations`],
+//!   [`RlPowerManager::rejected_observations`] and
+//!   [`RlPowerManager::mean_predictor_mse`] drain the queue first;
+//! - [`RlPowerManager::set_learning`] stops the worker, applying every
+//!   queued gap under the old setting, before it freezes the predictors.
+//!
+//! While the predictors are frozen (learning off, or
+//! [`PredictorConfig::online_training`] off) there is no worker: an
+//! observation is a window push, made inline on the decision thread, and a
+//! manager that never trains never starts a thread. Dropping the manager
+//! joins its worker, and a panic on the worker resurfaces on the decision
+//! thread at the next send or read.
 
 use crate::predictor::{IatPredictor, LstmIatPredictor, PredictorConfig};
 use hierdrl_rl::discretize::Discretizer;
@@ -26,6 +53,10 @@ use hierdrl_sim::time::SimTime;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::{Arc, Mutex, MutexGuard};
+use std::thread::{self, JoinHandle};
 
 /// Configuration of the RL power manager.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -112,7 +143,9 @@ impl RlPowerConfig {
             ));
         }
         self.epsilon.validate()?;
-        Ok(())
+        self.predictor
+            .validate()
+            .map_err(|e| format!("predictor: {e}"))
     }
 }
 
@@ -157,10 +190,14 @@ struct PendingDpm {
     queue_integral: f64,
 }
 
-/// One server's power-management agent.
+/// One server's power-management agent. Its predictor lives in the
+/// manager's shared predictor slice, at the same index.
 #[derive(Debug)]
 struct ServerAgent {
-    predictor: LstmIatPredictor,
+    /// Gaps handed to this server's predictor so far, inline or through
+    /// the worker; the predictor has caught up once its accepted plus
+    /// rejected observations reach this count.
+    gaps: u64,
     /// Index into the manager's table pool (the server's capacity class
     /// when learning is shared; the server index otherwise).
     table: usize,
@@ -174,6 +211,105 @@ struct ServerAgent {
 /// both the class grouping and the snapshot-restore safety check use.
 fn capacity_eq(a: &[f64], b: &[f64]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
+/// The per-server predictors, indexed by server. Each sits behind its own
+/// lock, so the decision thread can read one while the worker trains
+/// another.
+type Predictors = Arc<[Mutex<LstmIatPredictor>]>;
+
+/// Locks one predictor. Only a panic inside `observe` or `predict` poisons
+/// the lock, and the decision thread re-raises a worker panic before it
+/// gets here (see [`RlPowerManager::predicted_gap`]).
+fn lock(predictor: &Mutex<LstmIatPredictor>) -> MutexGuard<'_, LstmIatPredictor> {
+    predictor.lock().expect("a predictor panicked mid-update")
+}
+
+/// Work for the predictor worker, applied strictly in send order.
+#[derive(Debug)]
+enum PredictorJob {
+    /// Feed one inter-arrival gap to one server's predictor.
+    Observe { server: usize, gap: f64 },
+    /// Acknowledge once every job sent before this one has been applied.
+    Barrier,
+}
+
+/// The thread that trains the predictors while they learn online.
+#[derive(Debug)]
+struct PredictorWorker {
+    jobs: Sender<PredictorJob>,
+    /// One `Ok` per barrier; the panic payload, once, if the worker
+    /// panicked.
+    acks: Receiver<thread::Result<()>>,
+    handle: JoinHandle<()>,
+}
+
+impl PredictorWorker {
+    fn spawn(predictors: Predictors) -> Self {
+        let (jobs, inbox) = mpsc::channel();
+        let (ack, acks) = mpsc::channel();
+        let handle = thread::Builder::new()
+            .name("dpm-predictors".into())
+            .spawn(move || {
+                let run = panic::catch_unwind(AssertUnwindSafe(|| {
+                    for job in inbox {
+                        match job {
+                            PredictorJob::Observe { server, gap } => {
+                                lock(&predictors[server]).observe(gap);
+                            }
+                            PredictorJob::Barrier => {
+                                if ack.send(Ok(())).is_err() {
+                                    return;
+                                }
+                            }
+                        }
+                    }
+                }));
+                if let Err(payload) = run {
+                    let _ = ack.send(Err(payload));
+                }
+            })
+            .expect("spawn the predictor worker");
+        Self { jobs, acks, handle }
+    }
+
+    fn send(&self, job: PredictorJob) {
+        if self.jobs.send(job).is_err() {
+            self.resurface();
+        }
+    }
+
+    /// Blocks until every job sent before this call has been applied.
+    fn drain(&self) {
+        self.send(PredictorJob::Barrier);
+        match self.acks.recv() {
+            Ok(Ok(())) => {}
+            Ok(Err(payload)) => panic::resume_unwind(payload),
+            Err(_) => panic!("the predictor worker stopped unexpectedly"),
+        }
+    }
+
+    /// Re-raises the worker's panic on the calling thread.
+    fn resurface(&self) -> ! {
+        match self.acks.recv() {
+            Ok(Err(payload)) => panic::resume_unwind(payload),
+            _ => panic!("the predictor worker stopped unexpectedly"),
+        }
+    }
+
+    /// Applies every queued job, then ends and joins the thread.
+    fn stop(self) {
+        let Self { jobs, acks, handle } = self;
+        drop(jobs);
+        handle
+            .join()
+            .expect("worker panics are caught on the worker");
+        if let Ok(Err(payload)) = acks.try_recv() {
+            if !thread::panicking() {
+                panic::resume_unwind(payload);
+            }
+        }
+    }
 }
 
 /// Groups servers into capacity classes: servers with bit-identical
@@ -210,6 +346,13 @@ fn capacity_classes(cluster: &hierdrl_sim::config::ClusterConfig) -> (Vec<usize>
 /// tables. Build heterogeneous fleets with
 /// [`RlPowerManager::for_cluster`] so big and little servers learn in
 /// separate pools.
+///
+/// Each server's LSTM predictor is trained off the decision thread while
+/// it learns online: one worker thread per manager, spawned on the first
+/// training observation, applies the inter-arrival gaps in arrival order,
+/// and every read of predictor state waits for the gaps sent before it.
+/// While the predictors are frozen there is no worker and observations are
+/// inline window pushes. See the [module docs](self) for the exact rules.
 #[derive(Debug)]
 pub struct RlPowerManager {
     config: RlPowerConfig,
@@ -224,6 +367,11 @@ pub struct RlPowerManager {
     /// concept-drift sweeps.
     learning: bool,
     stats: DpmStats,
+    /// One predictor per server.
+    predictors: Predictors,
+    /// Trains `predictors` while they learn online; `None` while they are
+    /// frozen and until the first training observation.
+    worker: Option<PredictorWorker>,
 }
 
 impl RlPowerManager {
@@ -269,11 +417,12 @@ impl RlPowerManager {
         config.validate().expect("invalid RL power config");
         let discretizer =
             Discretizer::log_spaced(config.iat_range.0, config.iat_range.1, config.iat_bins);
-        let agents: Vec<ServerAgent> = (0..num_servers)
+        let (agents, predictors): (Vec<ServerAgent>, Vec<_>) = (0..num_servers)
             .map(|i| {
                 let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(i as u64 * 7919));
-                ServerAgent {
-                    predictor: LstmIatPredictor::new(config.predictor, &mut rng),
+                let predictor = Mutex::new(LstmIatPredictor::new(config.predictor, &mut rng));
+                let agent = ServerAgent {
+                    gaps: 0,
                     table: if config.shared_learning {
                         classes[i]
                     } else {
@@ -283,9 +432,10 @@ impl RlPowerManager {
                     rng,
                     pending: None,
                     last_arrival: None,
-                }
+                };
+                (agent, predictor)
             })
-            .collect();
+            .unzip();
         let table_count = if config.shared_learning {
             num_classes
         } else {
@@ -302,6 +452,8 @@ impl RlPowerManager {
             class_capacities,
             learning: true,
             stats: DpmStats::default(),
+            predictors: predictors.into(),
+            worker: None,
         }
     }
 
@@ -418,12 +570,24 @@ impl RlPowerManager {
     /// look-back windows keep tracking arrivals so the RL state stays
     /// current. This is the "no continued training" ablation that online
     /// concept-drift sweeps compare against.
+    ///
+    /// Freezing stops the predictor worker after it has applied every
+    /// queued observation under the old setting.
     pub fn set_learning(&mut self, on: bool) {
         self.learning = on;
-        let predictor_training = on && self.config.predictor.online_training;
-        for agent in &mut self.agents {
-            agent.predictor.set_online_training(predictor_training);
-            if !on {
+        let training = self.predictors_train();
+        if !training {
+            if let Some(worker) = self.worker.take() {
+                worker.stop();
+            }
+        }
+        // A running worker implies the predictors already train, so this
+        // cannot overtake a queued observation.
+        for predictor in self.predictors.iter() {
+            lock(predictor).set_online_training(training);
+        }
+        if !on {
+            for agent in &mut self.agents {
                 agent.pending = None;
             }
         }
@@ -434,32 +598,83 @@ impl RlPowerManager {
     /// driver fabricated an interval — e.g. a last-arrival mark surviving
     /// a segment boundary.
     pub fn rejected_observations(&self) -> u64 {
-        self.agents
+        self.drained()
             .iter()
-            .map(|a| a.predictor.rejected_observations())
+            .map(|p| lock(p).rejected_observations())
             .sum()
     }
 
     /// Total (accepted) observations consumed by the per-server
     /// predictors.
     pub fn predictor_observations(&self) -> u64 {
-        self.agents.iter().map(|a| a.predictor.observations()).sum()
+        self.drained().iter().map(|p| lock(p).observations()).sum()
     }
 
     /// Mean one-step prediction MSE (normalized space) across servers whose
     /// predictors have scored at least one prediction.
     pub fn mean_predictor_mse(&self) -> Option<f64> {
         let scores: Vec<f64> = self
-            .agents
+            .drained()
             .iter()
-            .filter_map(|a| a.predictor.normalized_mse())
+            .filter_map(|p| lock(p).normalized_mse())
             .collect();
         (!scores.is_empty()).then(|| scores.iter().sum::<f64>() / scores.len() as f64)
     }
 
-    fn state_for(&self, agent: &ServerAgent) -> u16 {
-        let predicted = agent.predictor.predict().unwrap_or(self.config.iat_range.1);
+    /// Whether the predictors train on what they observe.
+    fn predictors_train(&self) -> bool {
+        self.learning && self.config.predictor.online_training
+    }
+
+    /// Feeds one inter-arrival gap to `server`'s predictor: through the
+    /// worker (spawned on first use) while the predictors train, inline
+    /// while they are frozen.
+    fn observe_gap(&mut self, server: usize, gap: f64) {
+        self.agents[server].gaps += 1;
+        if !self.predictors_train() {
+            lock(&self.predictors[server]).observe(gap);
+            return;
+        }
+        let predictors = &self.predictors;
+        self.worker
+            .get_or_insert_with(|| PredictorWorker::spawn(Arc::clone(predictors)))
+            .send(PredictorJob::Observe { server, gap });
+    }
+
+    /// Every predictor, once every gap sent so far has been applied.
+    fn drained(&self) -> &[Mutex<LstmIatPredictor>] {
+        if let Some(worker) = &self.worker {
+            worker.drain();
+        }
+        &self.predictors
+    }
+
+    /// `server`'s predicted next inter-arrival time, read after every gap
+    /// sent to its predictor. Does not wait when that predictor has caught
+    /// up; otherwise (or if the worker panicked) drains the queue first.
+    fn predicted_gap(&self, server: usize) -> Option<f64> {
+        if let Ok(predictor) = self.predictors[server].lock() {
+            let applied = predictor.observations() + predictor.rejected_observations();
+            if applied == self.agents[server].gaps {
+                return predictor.predict();
+            }
+        }
+        lock(&self.drained()[server]).predict()
+    }
+
+    fn state_for(&self, server: usize) -> u16 {
+        let predicted = self
+            .predicted_gap(server)
+            .unwrap_or(self.config.iat_range.1);
         self.discretizer.bin(predicted) as u16
+    }
+}
+
+impl Drop for RlPowerManager {
+    fn drop(&mut self) {
+        if let Some(worker) = self.worker.take() {
+            worker.stop();
+        }
     }
 }
 
@@ -500,7 +715,7 @@ impl PowerManager for RlPowerManager {
         let weight = self.config.weight;
         let smdp = self.config.smdp;
 
-        let state = self.state_for(&self.agents[server.0]);
+        let state = self.state_for(server.0);
         let table = self.agents[server.0].table;
         if !self.learning {
             // Frozen (the no-continued-training ablation): pure greedy
@@ -551,11 +766,9 @@ impl PowerManager for RlPowerManager {
 
     fn on_job_arrival(&mut self, server: ServerId, _view: &ClusterView<'_>, now: SimTime) {
         self.stats.arrivals_observed += 1;
-        let agent = &mut self.agents[server.0];
-        if let Some(last) = agent.last_arrival {
-            agent.predictor.observe(now.since(last));
+        if let Some(last) = self.agents[server.0].last_arrival.replace(now) {
+            self.observe_gap(server.0, now.since(last));
         }
-        agent.last_arrival = Some(now);
     }
 
     fn on_run_begin(&mut self) {
@@ -589,6 +802,7 @@ impl PowerManager for RlPowerManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::predictor::PredictorConfigError;
     use hierdrl_sim::cluster::{Cluster, RunLimit};
     use hierdrl_sim::config::ClusterConfig;
     use hierdrl_sim::job::{Job, JobId};
@@ -719,9 +933,10 @@ mod tests {
         }
         let mut cluster = Cluster::new(ClusterConfig::paper(3), bursty_jobs(60)).unwrap();
         cluster.run(&mut ToZero, &mut mgr, RunLimit::unbounded());
-        assert!(mgr.agents[0].predictor.observations() > 0);
-        assert_eq!(mgr.agents[1].predictor.observations(), 0);
-        assert_eq!(mgr.agents[2].predictor.observations(), 0);
+        let predictors = mgr.drained();
+        assert!(lock(&predictors[0]).observations() > 0);
+        assert_eq!(lock(&predictors[1]).observations(), 0);
+        assert_eq!(lock(&predictors[2]).observations(), 0);
     }
 
     #[test]
@@ -889,11 +1104,12 @@ mod tests {
         );
         let (updates, decisions) = (mgr.stats().updates, mgr.stats().decisions);
         assert!(updates > 0);
-        let trained_steps: u64 = mgr
-            .agents
-            .iter()
-            .map(|a| a.predictor.training_steps())
-            .sum();
+        let training_steps = |mgr: &RlPowerManager| -> u64 {
+            mgr.drained().iter().map(|p| lock(p).training_steps()).sum()
+        };
+        let trained_steps = training_steps(&mgr);
+        assert!(trained_steps > 0);
+        assert!(mgr.worker.is_some(), "training runs on the worker");
 
         mgr.set_learning(false);
         let mut cluster = Cluster::new(ClusterConfig::paper(2), jobs).unwrap();
@@ -906,13 +1122,11 @@ mod tests {
         assert_eq!(mgr.stats().updates, updates, "no Q updates while frozen");
         assert!(mgr.stats().decisions > decisions, "decisions keep flowing");
         assert_eq!(
-            mgr.agents
-                .iter()
-                .map(|a| a.predictor.training_steps())
-                .sum::<u64>(),
+            training_steps(&mgr),
             trained_steps,
             "predictor weights frozen too"
         );
+        assert!(mgr.worker.is_none(), "frozen predictors need no worker");
     }
 
     #[test]
@@ -928,5 +1142,205 @@ mod tests {
         let mut c = fast_config();
         c.iat_bins = 1;
         assert!(c.validate().is_err());
+
+        // Predictor fields: each used to pass validation and then panic
+        // inside `LstmIatPredictor::new` or `Adam::new`.
+        use PredictorConfigError as E;
+        let ok = fast_config().predictor;
+        let bad_predictors = [
+            (PredictorConfig { lookback: 1, ..ok }, E::Lookback(1)),
+            (PredictorConfig { lookback: 0, ..ok }, E::Lookback(0)),
+            (PredictorConfig { hidden: 0, ..ok }, E::NoHiddenUnits),
+            (
+                PredictorConfig { min_iat: 0.0, ..ok },
+                E::IatRange {
+                    min: 0.0,
+                    max: 7200.0,
+                },
+            ),
+            (
+                PredictorConfig {
+                    min_iat: 7200.0,
+                    ..ok
+                },
+                E::IatRange {
+                    min: 7200.0,
+                    max: 7200.0,
+                },
+            ),
+            (
+                PredictorConfig {
+                    max_iat: f64::INFINITY,
+                    ..ok
+                },
+                E::IatRange {
+                    min: 1.0,
+                    max: f64::INFINITY,
+                },
+            ),
+            (
+                PredictorConfig {
+                    learning_rate: 0.0,
+                    ..ok
+                },
+                E::LearningRate(0.0),
+            ),
+            (
+                PredictorConfig {
+                    learning_rate: -1e-3,
+                    ..ok
+                },
+                E::LearningRate(-1e-3),
+            ),
+            (
+                PredictorConfig {
+                    learning_rate: f32::INFINITY,
+                    ..ok
+                },
+                E::LearningRate(f32::INFINITY),
+            ),
+        ];
+        for (predictor, expected) in bad_predictors {
+            let c = RlPowerConfig {
+                predictor,
+                ..fast_config()
+            };
+            assert_eq!(c.predictor.validate(), Err(expected));
+            assert_eq!(c.validate(), Err(format!("predictor: {expected}")));
+        }
+        let mut c = fast_config();
+        c.predictor.learning_rate = f32::NAN;
+        assert!(matches!(
+            c.predictor.validate(),
+            Err(PredictorConfigError::LearningRate(lr)) if lr.is_nan()
+        ));
+        assert!(c.validate().is_err());
+        assert!(fast_config().validate().is_ok());
+    }
+
+    /// Gaps with short bursts, long pauses and a few rejected values.
+    fn gap(k: usize) -> f64 {
+        match k % 11 {
+            3 => 0.0,
+            7 => 900.0 + k as f64,
+            _ => 5.0 + (k % 5) as f64 * 13.0,
+        }
+    }
+
+    /// Bare predictors built from the manager's per-server seeds.
+    fn reference_predictors(config: &RlPowerConfig, servers: usize) -> Vec<LstmIatPredictor> {
+        (0..servers)
+            .map(|i| {
+                let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(i as u64 * 7919));
+                LstmIatPredictor::new(config.predictor, &mut rng)
+            })
+            .collect()
+    }
+
+    fn bits(x: Option<f64>) -> Option<u64> {
+        x.map(f64::to_bits)
+    }
+
+    #[test]
+    fn worker_reads_match_sequential_predictors_at_every_checkpoint() {
+        let config = fast_config();
+        let servers = 3;
+        let mut mgr = RlPowerManager::new(servers, config.clone());
+        let mut reference = reference_predictors(&config, servers);
+        for k in 0..240 {
+            let server = (k * 7) % servers;
+            mgr.observe_gap(server, gap(k));
+            reference[server].observe(gap(k));
+            if k % 5 != 4 {
+                continue;
+            }
+            // Read one prediction first, straight after the sends, so it
+            // races the worker; then the aggregate reads.
+            assert_eq!(
+                bits(mgr.predicted_gap(server)),
+                bits(reference[server].predict()),
+                "prediction for server {server} after gap {k}"
+            );
+            assert_eq!(
+                mgr.predictor_observations(),
+                reference.iter().map(|p| p.observations()).sum::<u64>()
+            );
+            assert_eq!(
+                mgr.rejected_observations(),
+                reference
+                    .iter()
+                    .map(|p| p.rejected_observations())
+                    .sum::<u64>()
+            );
+            let scores: Vec<f64> = reference
+                .iter()
+                .filter_map(|p| p.normalized_mse())
+                .collect();
+            let mse =
+                (!scores.is_empty()).then(|| scores.iter().sum::<f64>() / scores.len() as f64);
+            assert_eq!(bits(mgr.mean_predictor_mse()), bits(mse), "after gap {k}");
+            for (i, p) in reference.iter().enumerate() {
+                assert_eq!(bits(mgr.predicted_gap(i)), bits(p.predict()), "server {i}");
+            }
+        }
+        assert!(
+            mgr.worker.is_some(),
+            "training gaps went through the worker"
+        );
+        assert!(reference.iter().all(|p| p.training_steps() > 0));
+    }
+
+    #[test]
+    fn freezing_applies_queued_gaps_under_the_old_setting() {
+        let config = RlPowerConfig::default();
+        let servers = 2;
+        let mut mgr = RlPowerManager::new(servers, config.clone());
+        let mut reference = reference_predictors(&config, servers);
+        // Paper-sized predictors: the worker is still training when the
+        // toggle arrives.
+        for k in 0..400 {
+            mgr.observe_gap(k % servers, gap(k));
+            reference[k % servers].observe(gap(k));
+        }
+        mgr.set_learning(false);
+        assert!(mgr.worker.is_none());
+        for (i, p) in reference.iter_mut().enumerate() {
+            let got = lock(&mgr.predictors[i]);
+            assert_eq!(got.training_steps(), p.training_steps(), "server {i}");
+            assert_eq!(bits(got.normalized_mse()), bits(p.normalized_mse()));
+            assert_eq!(bits(got.predict()), bits(p.predict()));
+            p.set_online_training(false);
+        }
+        // Frozen gaps are inline window pushes, bit for bit the same.
+        for k in 400..440 {
+            mgr.observe_gap(k % servers, gap(k));
+            reference[k % servers].observe(gap(k));
+        }
+        assert!(mgr.worker.is_none(), "a frozen manager starts no thread");
+        for (i, p) in reference.iter().enumerate() {
+            assert_eq!(bits(mgr.predicted_gap(i)), bits(p.predict()), "server {i}");
+        }
+    }
+
+    #[test]
+    fn dropping_a_manager_with_a_backlog_joins_its_worker() {
+        let mut mgr = RlPowerManager::new(2, RlPowerConfig::default());
+        for k in 0..400 {
+            mgr.observe_gap(k % 2, gap(k));
+        }
+        assert!(mgr.worker.is_some());
+        let predictors = Arc::downgrade(&mgr.predictors);
+        let (done, dropped) = mpsc::channel();
+        thread::spawn(move || {
+            drop(mgr);
+            done.send(()).expect("test thread waits");
+        });
+        dropped
+            .recv_timeout(std::time::Duration::from_secs(120))
+            .expect("dropping the manager returns");
+        assert!(
+            predictors.upgrade().is_none(),
+            "the worker thread has ended by the time drop returns"
+        );
     }
 }

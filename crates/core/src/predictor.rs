@@ -58,6 +58,67 @@ impl Default for PredictorConfig {
     }
 }
 
+impl PredictorConfig {
+    /// Validates the configuration.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first invalid field.
+    pub fn validate(&self) -> Result<(), PredictorConfigError> {
+        if self.lookback < 2 {
+            return Err(PredictorConfigError::Lookback(self.lookback));
+        }
+        if self.hidden == 0 {
+            return Err(PredictorConfigError::NoHiddenUnits);
+        }
+        if !(self.min_iat > 0.0 && self.min_iat < self.max_iat && self.max_iat.is_finite()) {
+            return Err(PredictorConfigError::IatRange {
+                min: self.min_iat,
+                max: self.max_iat,
+            });
+        }
+        if !(self.learning_rate.is_finite() && self.learning_rate > 0.0) {
+            return Err(PredictorConfigError::LearningRate(self.learning_rate));
+        }
+        Ok(())
+    }
+}
+
+/// Why a [`PredictorConfig`] is invalid.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum PredictorConfigError {
+    /// The look-back window is shorter than 2.
+    Lookback(usize),
+    /// The LSTM has no hidden units.
+    NoHiddenUnits,
+    /// The normalization clamp is not `0 < min_iat < max_iat < inf`.
+    IatRange {
+        /// The configured `min_iat`.
+        min: f64,
+        /// The configured `max_iat`.
+        max: f64,
+    },
+    /// The Adam learning rate is not finite and positive.
+    LearningRate(f32),
+}
+
+impl std::fmt::Display for PredictorConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::Lookback(n) => write!(f, "lookback must be at least 2, got {n}"),
+            Self::NoHiddenUnits => f.write_str("need at least one hidden unit"),
+            Self::IatRange { min, max } => {
+                write!(f, "need 0 < min_iat < max_iat < inf, got ({min}, {max})")
+            }
+            Self::LearningRate(lr) => {
+                write!(f, "learning rate must be finite and positive, got {lr}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for PredictorConfigError {}
+
 /// Online LSTM predictor of inter-arrival times.
 ///
 /// Inter-arrival times are log-normalized to `[0, 1]` (they span orders of
@@ -85,14 +146,12 @@ impl LstmIatPredictor {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is invalid.
+    /// Panics if the configuration is invalid (see
+    /// [`PredictorConfig::validate`]).
     pub fn new(config: PredictorConfig, rng: &mut impl Rng) -> Self {
-        assert!(config.lookback >= 2, "lookback must be at least 2");
-        assert!(config.hidden >= 1, "need at least one hidden unit");
-        assert!(
-            config.min_iat > 0.0 && config.min_iat < config.max_iat,
-            "need 0 < min_iat < max_iat"
-        );
+        if let Err(e) = config.validate() {
+            panic!("invalid predictor config: {e}");
+        }
         let lstm = LstmNetwork::new(1, 1, config.hidden, 1, rng);
         Self {
             adam: Adam::new(config.learning_rate),

@@ -596,8 +596,9 @@ impl LstmNetwork {
     /// projection is one forward call (one cache entry) over all rows, the
     /// cell runs the fused [`LstmCell::forward_sequence`] sweep, and every
     /// per-step temporary lives in recycled workspace buffers. Bitwise
-    /// identical to [`LstmNetwork::forward_seq_reference`], the retained
-    /// allocating path. Must be paired with [`LstmNetwork::backward_seq`].
+    /// identical to the allocating step-by-step path (the test-only
+    /// `forward_seq_reference`). Must be paired with
+    /// [`LstmNetwork::backward_seq`].
     ///
     /// # Panics
     ///
@@ -611,8 +612,8 @@ impl LstmNetwork {
 
     /// The original allocating `forward_seq` body, retained as the
     /// reference implementation the workspace path is tested against.
-    #[doc(hidden)]
-    pub fn forward_seq_reference(&mut self, seq: &Matrix) -> Matrix {
+    #[cfg(test)]
+    fn forward_seq_reference(&mut self, seq: &Matrix) -> Matrix {
         assert!(seq.rows() > 0, "LSTM needs at least one time step");
         let proj = self.input_layer.forward(seq);
         let mut state = LstmState::zeros(1, self.cell.hidden_size());
@@ -627,9 +628,8 @@ impl LstmNetwork {
     /// order, matching the batched forward's row order) and back-propagated
     /// through the input layer in one call; nothing upstream consumes the
     /// input gradient, so it is never materialized. The whole sweep runs in
-    /// recycled workspace buffers; gradients are bitwise identical to
-    /// [`LstmNetwork::backward_seq_reference`], the retained allocating
-    /// path.
+    /// recycled workspace buffers; gradients are bitwise identical to the
+    /// allocating step-by-step path (the test-only `backward_seq_reference`).
     ///
     /// # Panics
     ///
@@ -644,9 +644,9 @@ impl LstmNetwork {
 
     /// The original allocating `backward_seq` body, retained as the
     /// reference implementation the workspace path is tested against.
-    /// Pair with [`LstmNetwork::forward_seq_reference`].
-    #[doc(hidden)]
-    pub fn backward_seq_reference(&mut self, grad_out: &Matrix) {
+    /// Pair with `forward_seq_reference`.
+    #[cfg(test)]
+    fn backward_seq_reference(&mut self, grad_out: &Matrix) {
         let mut dh = self.output_layer.backward(grad_out);
         let steps = self.cell.pending_steps();
         assert!(steps > 0, "LstmNetwork::backward without a forward pass");
