@@ -257,10 +257,9 @@ impl PredictorWorker {
                             PredictorJob::Observe { server, gap } => {
                                 lock(&predictors[server]).observe(gap);
                             }
+                            // The manager holds `acks` while it waits.
                             PredictorJob::Barrier => {
-                                if ack.send(Ok(())).is_err() {
-                                    return;
-                                }
+                                let _ = ack.send(Ok(()));
                             }
                         }
                     }
@@ -297,17 +296,15 @@ impl PredictorWorker {
         }
     }
 
-    /// Applies every queued job, then ends and joins the thread.
-    fn stop(self) {
+    /// Applies every queued job, then ends and joins the thread. Returns
+    /// the worker's panic if it panicked and no read has re-raised it yet.
+    fn stop(self) -> thread::Result<()> {
         let Self { jobs, acks, handle } = self;
         drop(jobs);
-        handle
-            .join()
-            .expect("worker panics are caught on the worker");
-        if let Ok(Err(payload)) = acks.try_recv() {
-            if !thread::panicking() {
-                panic::resume_unwind(payload);
-            }
+        handle.join()?;
+        match acks.try_recv() {
+            Ok(Err(payload)) => Err(payload),
+            _ => Ok(()),
         }
     }
 }
@@ -577,8 +574,8 @@ impl RlPowerManager {
         self.learning = on;
         let training = self.predictors_train();
         if !training {
-            if let Some(worker) = self.worker.take() {
-                worker.stop();
+            if let Some(Err(payload)) = self.worker.take().map(PredictorWorker::stop) {
+                panic::resume_unwind(payload);
             }
         }
         // A running worker implies the predictors already train, so this
@@ -672,8 +669,11 @@ impl RlPowerManager {
 
 impl Drop for RlPowerManager {
     fn drop(&mut self) {
+        // A panic here could abort an unwinding thread; the worker's own
+        // panic message has already been printed, and nothing can read the
+        // predictors any more.
         if let Some(worker) = self.worker.take() {
-            worker.stop();
+            let _ = worker.stop();
         }
     }
 }
@@ -1255,7 +1255,9 @@ mod tests {
                 continue;
             }
             // Read one prediction first, straight after the sends, so it
-            // races the worker; then the aggregate reads.
+            // races the worker (on one core, as CI runs this test, the
+            // worker cannot apply anything until this thread blocks); then
+            // the aggregate reads.
             assert_eq!(
                 bits(mgr.predicted_gap(server)),
                 bits(reference[server].predict()),
@@ -1320,6 +1322,22 @@ mod tests {
         for (i, p) in reference.iter().enumerate() {
             assert_eq!(bits(mgr.predicted_gap(i)), bits(p.predict()), "server {i}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn a_worker_panic_resurfaces_on_the_decision_thread() {
+        let mut mgr = RlPowerManager::new(2, fast_config());
+        mgr.observe_gap(0, 60.0);
+        // A server index past the end makes the worker panic mid-queue.
+        mgr.worker
+            .as_ref()
+            .expect("a training observation spawns the worker")
+            .send(PredictorJob::Observe {
+                server: 99,
+                gap: 60.0,
+            });
+        let _ = mgr.predictor_observations();
     }
 
     #[test]
