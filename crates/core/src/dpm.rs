@@ -19,8 +19,9 @@
 //!
 //! The per-server LSTM predictors learn independently of the global tier
 //! and of each other, so while they train online they are trained off the
-//! decision thread. The first training observation spawns one worker
-//! thread per manager; from then on [`PowerManager::on_job_arrival`] only
+//! decision thread. The first training observation spawns the manager's
+//! one worker thread (again after a freeze); from then on
+//! [`PowerManager::on_job_arrival`] only
 //! sends `(server, gap)` down a channel, and the worker applies the gaps in
 //! send order. Every read of predictor state waits for the gaps sent
 //! before it (the FIFO read rule), so each predictor sees exactly the
@@ -40,7 +41,7 @@
 //! observation is a window push, made inline on the decision thread, and a
 //! manager that never trains never starts a thread. Dropping the manager
 //! joins its worker, and a panic on the worker resurfaces on the decision
-//! thread at the next send or read.
+//! thread at the next send, read or freeze.
 
 use crate::predictor::{IatPredictor, LstmIatPredictor, PredictorConfig};
 use hierdrl_rl::discretize::Discretizer;
